@@ -22,8 +22,6 @@ from .lattice import (
     rho,
     root_coordinates,
     saturated_dominants,
-    strictly_below,
-    support,
     support_size,
     zero_weight,
 )

@@ -15,12 +15,8 @@ import random
 import sys
 
 from . import oracle, rigidity, serialize
-from .lattice import (
-    from_fundamental,
-    fundamental_coords,
-    orbit_size,
-    processing_key,
-)
+from .lattice import from_fundamental, fundamental_coords, orbit_size
+from .ring import sorted_terms
 from .serialize import FormatError
 
 
@@ -74,7 +70,7 @@ def _write_file(path: str, text: str) -> None:
 def cmd_char(args) -> int:
     lam = _parse_dominant(args.weight, args.rank)
     ch = oracle.freudenthal_character(args.rank, lam, _cache_dir(args))
-    rows = sorted(ch.terms.items(), key=lambda kv: processing_key(kv[0]), reverse=True)
+    rows = sorted_terms(ch.terms)
     dim = oracle.weyl_dim(args.rank, lam)
     doc = {
         "rank": args.rank,
@@ -101,7 +97,7 @@ def cmd_tensor(args) -> int:
     nu = _parse_dominant(args.nu, args.rank)
     cache = _cache_dir(args)
     row = oracle.tensor_decompose(args.rank, mu, nu, cache)
-    rows = sorted(row.items(), key=lambda kv: processing_key(kv[0]), reverse=True)
+    rows = sorted_terms(row)
     dims = {lam: oracle.weyl_dim(args.rank, lam) for lam, _ in rows}
     total = sum(c * dims[lam] for lam, c in rows)
     product = oracle.weyl_dim(args.rank, mu) * oracle.weyl_dim(args.rank, nu)
@@ -133,22 +129,8 @@ def _family_diff(fam, cache_dir):
             diff.append(
                 {
                     "lambda": serialize.weight_doc(lam),
-                    "expected": [
-                        {"mu": serialize.weight_doc(mu), "coeff": c}
-                        for mu, c in sorted(
-                            truth.terms.items(),
-                            key=lambda kv: processing_key(kv[0]),
-                            reverse=True,
-                        )
-                    ],
-                    "found": [
-                        {"mu": serialize.weight_doc(mu), "coeff": c}
-                        for mu, c in sorted(
-                            found.terms.items(),
-                            key=lambda kv: processing_key(kv[0]),
-                            reverse=True,
-                        )
-                    ],
+                    "expected": serialize.terms_doc(truth),
+                    "found": serialize.terms_doc(found),
                 }
             )
     return diff
@@ -247,6 +229,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    if args.count < 1:
+        raise CLIError(2, f"count must be >= 1, got {args.count}")
     cache = _cache_dir(args)
     fam = rigidity.true_family(args.rank, args.bound, cache)
     applied = []

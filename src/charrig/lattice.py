@@ -28,10 +28,6 @@ def canonical(v) -> Eps:
     return tuple(x - m for x in v)
 
 
-def rank_of(eps: Eps) -> int:
-    return len(eps) - 1
-
-
 def zero_weight(l: int) -> Eps:
     return (0,) * (l + 1)
 
@@ -139,27 +135,8 @@ def root_coordinates(la: Eps, mu: Eps) -> tuple[int, ...]:
     return tuple(out)
 
 
-def support(beta) -> frozenset[int]:
-    """Indices of simple roots appearing in beta with nonzero coefficient."""
-    return frozenset(i + 1 for i, k in enumerate(beta) if k)
-
-
 def support_size(beta) -> int:
     return sum(1 for k in beta if k)
-
-
-def strictly_below(mu: Eps, la: Eps) -> bool:
-    """mu != la and (mu below la in dominance, or la - mu dominant).
-
-    This is the order the reconstruction recursion descends along.
-    """
-    if mu == la:
-        return False
-    if dominance_leq(mu, la):
-        return True
-    fm = fundamental_coords(mu)
-    fl = fundamental_coords(la)
-    return all(a <= b for a, b in zip(fm, fl))
 
 
 def saturated_dominants(la: Eps) -> list[Eps]:

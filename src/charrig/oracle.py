@@ -1,13 +1,15 @@
 """Ground-truth character data for type A.
 
 Weight multiplicities come from the Freudenthal recursion (exact integer
-divisions throughout, asserted), cross-checkable against the Weyl
+divisions throughout, checked), cross-checkable against the Weyl
 dimension product formula.  Tensor product multiplicities are obtained
 by peel-off decomposition in the character basis.
 
 Characters are memoized per (rank, weight); an optional directory adds a
-persistent JSON spill of the same tables.  Corrupt cache files are
-discarded and recomputed.
+persistent JSON spill of the same tables.  A cache file that does not
+parse, whose keys are not exactly the saturated dominants, or whose
+leading coefficient is not 1 is discarded and recomputed; a changed
+lower multiplicity is not detected.
 """
 
 import json
@@ -27,7 +29,7 @@ from .lattice import (
     rho,
     saturated_dominants,
 )
-from .ring import CharElement
+from .ring import CharElement, sorted_terms
 
 _MEMO: dict[tuple[int, Eps], CharElement] = {}
 
@@ -67,9 +69,7 @@ def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
         "lambda": list(fundamental_coords(lam)),
         "terms": [
             {"mu": list(fundamental_coords(mu)), "coeff": c}
-            for mu, c in sorted(
-                elem.terms.items(), key=lambda kv: processing_key(kv[0]), reverse=True
-            )
+            for mu, c in sorted_terms(elem.terms)
         ],
     }
     try:
@@ -118,9 +118,12 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu_al, rho_v))
         denom = top_norm - pairing(mu_rho, mu_rho)
-        assert denom > 0, "norm gap must be positive below the highest weight"
-        assert (2 * acc) % denom == 0, "Freudenthal division must be exact"
-        mults[mu] = (2 * acc) // denom
+        if denom <= 0:
+            raise ArithmeticError("norm gap must be positive below the highest weight")
+        m, rem = divmod(2 * acc, denom)
+        if rem:
+            raise ArithmeticError("Freudenthal division must be exact")
+        mults[mu] = m
     elem = CharElement(l, mults)
     _MEMO[key] = elem
     if cache_dir:
@@ -131,6 +134,8 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
 def weyl_dim(l: int, lam: Eps) -> int:
     """Dimension of the highest-weight module, by the product formula
     over coordinate pairs; exact integer."""
+    if len(lam) != l + 1:
+        raise ValueError(f"weight {lam} has wrong length for A_{l}")
     lam = canonical(lam)
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
@@ -140,18 +145,22 @@ def weyl_dim(l: int, lam: Eps) -> int:
         for j in range(i + 1, l + 1):
             num *= lam[i] - lam[j] + j - i
             den *= j - i
-    assert num % den == 0
-    return num // den
+    dim, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError("Weyl dimension division must be exact")
+    return dim
 
 
 def decompose(f: CharElement, cache_dir: str | None = None) -> dict[Eps, int]:
     """Coefficients d_mu with f = sum d_mu ch_mu, by repeatedly peeling
-    the maximal leading term.  The residue ends exactly zero because the
+    the term of largest processing key.  Height strictly increases up
+    the dominance order, so that term is maximal in dominance and its
+    coefficient is d_mu.  The residue ends exactly zero because the
     characters are a basis of the invariant ring."""
     out: dict[Eps, int] = {}
     residue = f
     while residue:
-        mu = max(residue.leading_dominants(), key=processing_key)
+        mu = max(residue.terms, key=processing_key)
         c = residue.terms[mu]
         out[mu] = c
         residue = residue - c * freudenthal_character(f.rank, mu, cache_dir)

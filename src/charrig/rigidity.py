@@ -9,6 +9,7 @@ family to be the true characters: the small-support multiplicity
 condition and the tensor duality condition.
 """
 
+import functools
 import random
 from dataclasses import dataclass, field
 
@@ -168,13 +169,10 @@ def reconstruct_family(
 
 def lr_oracle(l: int, cache_dir: str | None = None):
     """Oracle answering with genuine Littlewood-Richardson coefficients."""
-    rows: dict[tuple[Eps, Eps], dict[Eps, int]] = {}
+    row = functools.cache(lambda mu, nu: tensor_decompose(l, mu, nu, cache_dir))
 
     def query(mu: Eps, nu: Eps, s: Eps) -> int:
-        key = (mu, nu)
-        if key not in rows:
-            rows[key] = tensor_decompose(l, mu, nu, cache_dir)
-        return rows[key].get(s, 0)
+        return row(mu, nu).get(s, 0)
 
     return query
 
@@ -227,12 +225,21 @@ def extract_structure_constants(
     prod = fam.member(mu) * fam.member(nu)
     row: dict[Eps, int] = {}
     for t in saturated_dominants(lam0):
-        val = prod.coefficient(t)
-        for s, ns in row.items():
-            if ns:
-                val -= ns * fam.member(s).coefficient(t)
-        row[t] = val
+        row[t] = _product_minus_row(fam, prod.coefficient(t), row, t, skip=t)
     return row
+
+
+def _product_minus_row(
+    fam: CharacterFamily, prod_t: int, row: dict[Eps, int], t: Eps, skip: Eps
+) -> int:
+    """The structure-constant formula at t: prod_t, the coefficient of
+    e(t) in f_mu * f_nu, minus row[s] times the coefficient of h(t) in
+    f_s, summed over the row's weights s other than skip."""
+    val = prod_t
+    for s, ns in row.items():
+        if ns and s != skip:
+            val -= ns * fam.member(s).coefficient(t)
+    return val
 
 
 def multiplicity_from_product(
@@ -240,32 +247,9 @@ def multiplicity_from_product(
 ) -> int:
     """The coefficient of h(t) in f_{mu+nu} computed without f_{mu+nu}
     itself: the convolution coefficient minus the row-weighted lower
-    members."""
-    lam0 = add(mu, nu)
+    members.  row is extract_structure_constants(fam, mu, nu)."""
     prod = fam.member(mu) * fam.member(nu)
-    val = prod.e_coefficient(t)
-    for s in saturated_dominants(lam0):
-        if s == lam0:
-            continue
-        ns_t = fam.member(s).coefficient(t)
-        if ns_t:
-            val -= row.get(s, 0) * ns_t
-    return val
-
-
-def _structure_constant_from_row(
-    fam: CharacterFamily, prod: CharElement, lam0: Eps, t: Eps, row: dict[Eps, int]
-) -> int:
-    """Re-evaluate the extraction formula at t with a fixed row for all
-    other positions (used by the consistency probe)."""
-    val = prod.coefficient(t)
-    for s in saturated_dominants(lam0):
-        if s == t:
-            continue
-        ns_t = fam.member(s).coefficient(t)
-        if ns_t:
-            val -= row.get(s, 0) * ns_t
-    return val
+    return _product_minus_row(fam, prod.e_coefficient(t), row, t, skip=add(mu, nu))
 
 
 def recursion_consistency(
@@ -280,11 +264,11 @@ def recursion_consistency(
     if t not in sat:
         raise ValueError(f"{t} is not in the saturated set of {lam0}")
     row = extract_structure_constants(fam, mu, nu)
-    prod = fam.member(mu) * fam.member(nu)
+    prod_t = (fam.member(mu) * fam.member(nu)).coefficient(t)
 
     def gap(family: CharacterFamily) -> int:
-        v1 = multiplicity_from_product(family, mu, nu, t, row)
-        v2 = _structure_constant_from_row(family, prod, lam0, t, row)
+        v1 = _product_minus_row(family, prod_t, row, t, skip=lam0)
+        v2 = _product_minus_row(family, prod_t, row, t, skip=t)
         return v1 - v2
 
     base = gap(fam)
@@ -331,12 +315,7 @@ def check_duality_condition(
     whose dual-side weight escapes the bound."""
     violations: list[tuple] = []
     skipped: list[tuple] = []
-    rows: dict[tuple[Eps, Eps], dict[Eps, int]] = {}
-
-    def row(a: Eps, b: Eps) -> dict[Eps, int]:
-        if (a, b) not in rows:
-            rows[(a, b)] = extract_structure_constants(fam, a, b)
-        return rows[(a, b)]
+    row = functools.cache(lambda a, b: extract_structure_constants(fam, a, b))
 
     members = fam.index_set()
     for mu in members:

@@ -8,11 +8,11 @@ represented.  Products go through a transient expansion into the e-basis
 
 from .lattice import (
     Eps,
-    dominance_leq,
     dominant_representative,
     is_dominant,
     orbit,
     orbit_size,
+    processing_key,
     zero_weight,
 )
 
@@ -51,15 +51,6 @@ class CharElement:
     def dimension(self) -> int:
         """Total number of e-basis terms counted with multiplicity."""
         return sum(c * orbit_size(mu) for mu, c in self.terms.items())
-
-    def leading_dominants(self) -> list[Eps]:
-        """Keys that are maximal among the keys in dominance order."""
-        keys = list(self.terms)
-        return [
-            k
-            for k in keys
-            if not any(k2 != k and dominance_leq(k, k2) for k2 in keys)
-        ]
 
     def _require_same_rank(self, other: "CharElement") -> None:
         if self.rank != other.rank:
@@ -123,6 +114,12 @@ class CharElement:
 
     def __repr__(self) -> str:
         return f"CharElement(rank={self.rank}, terms={self.terms!r})"
+
+
+def sorted_terms(terms: dict) -> list[tuple[Eps, int]]:
+    """The items of a {dominant weight: value} dict in decreasing
+    processing order: the order every document lists its terms in."""
+    return sorted(terms.items(), key=lambda kv: processing_key(kv[0]), reverse=True)
 
 
 def orbit_sum(mu: Eps) -> CharElement:

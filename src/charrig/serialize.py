@@ -9,7 +9,7 @@ import json
 
 from .lattice import Eps, from_fundamental, fundamental_coords, processing_key
 from .rigidity import CharacterFamily, validate_family
-from .ring import CharElement
+from .ring import CharElement, sorted_terms
 
 
 class FormatError(ValueError):
@@ -34,17 +34,15 @@ def dump_doc(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def terms_doc(f: CharElement) -> list[dict]:
+    return [{"mu": weight_doc(mu), "coeff": c} for mu, c in sorted_terms(f.terms)]
+
+
 def family_to_doc(fam: CharacterFamily) -> dict:
-    members = []
-    for lam in fam.index_set():
-        f = fam.members[lam]
-        terms = [
-            {"mu": weight_doc(mu), "coeff": c}
-            for mu, c in sorted(
-                f.terms.items(), key=lambda kv: processing_key(kv[0]), reverse=True
-            )
-        ]
-        members.append({"lambda": weight_doc(lam), "terms": terms})
+    members = [
+        {"lambda": weight_doc(lam), "terms": terms_doc(fam.members[lam])}
+        for lam in fam.index_set()
+    ]
     return {"rank": fam.rank, "bound": fam.bound, "members": members}
 
 

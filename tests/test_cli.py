@@ -183,6 +183,18 @@ class TestPerturb:
             assert res.returncode == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_rejected(self, tmp_path, count):
+        out = tmp_path / "f.json"
+        res = run(
+            "perturb", "--rank", "2", "--bound", "12",
+            "--seed", "1", "--count", count, "--out", str(out),
+        )
+        assert res.returncode == 2
+        assert "count" in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not out.exists()
+
 
 class TestDeterminismAndCache:
     def test_reconstruct_byte_identical_cold_and_warm(self, tmp_path):

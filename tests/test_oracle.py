@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charrig.lattice import (
     add,
@@ -19,7 +20,7 @@ from charrig.oracle import (
     tensor_decompose,
     weyl_dim,
 )
-from charrig.ring import orbit_sum
+from charrig.ring import orbit_sum, zero
 
 
 def w(l, *coords):
@@ -45,6 +46,10 @@ class TestFreudenthal:
         with pytest.raises(ValueError):
             freudenthal_character(2, (0, 1, 0))
 
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            freudenthal_character(2, (1, 0))
+
 
 class TestWeylDim:
     def test_examples(self):
@@ -52,6 +57,11 @@ class TestWeylDim:
         assert weyl_dim(2, w(2, 1, 1)) == 8
         assert weyl_dim(3, zero_weight(3)) == 1
         assert weyl_dim(2, w(2, 2, 1)) == 15
+
+    @pytest.mark.parametrize("lam", [(1, 0), (1, 0, 0, 0)])
+    def test_rejects_wrong_length(self, lam):
+        with pytest.raises(ValueError):
+            weyl_dim(2, lam)
 
     @pytest.mark.parametrize(
         "l,bound", [(2, 16), (3, 14)]
@@ -79,6 +89,24 @@ class TestDecompose:
     def test_round_trip(self, l, bound):
         for lam in dominant_weights_up_to(l, bound):
             assert decompose(freudenthal_character(l, lam)) == {lam: 1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 4).flatmap(
+            lambda l: st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * l),
+                st.integers(-3, 3).filter(bool),
+                max_size=4,
+            ).map(lambda d: (l, d))
+        )
+    )
+    def test_recovers_integer_combinations(self, case):
+        l, coeffs = case
+        combo = {from_fundamental(l, fc): c for fc, c in coeffs.items()}
+        f = zero(l)
+        for lam, c in combo.items():
+            f = f + c * freudenthal_character(l, lam)
+        assert decompose(f) == combo
 
 
 class TestTensorDecompose:

@@ -111,19 +111,6 @@ class TestModuleStructure:
             assert s.e_coefficient(x) == f.e_coefficient(x) + g.e_coefficient(x)
 
 
-class TestLeadingDominants:
-    def test_character_has_single_leader(self):
-        ch = freudenthal_character(2, w(2, 1, 1))
-        assert ch.leading_dominants() == [(2, 1, 0)]
-
-    def test_zero_element(self):
-        assert zero(2).leading_dominants() == []
-
-    def test_incomparable_keys_both_returned(self):
-        f = orbit_sum(w(2, 2, 0)) + orbit_sum(w(2, 0, 2))
-        assert set(f.leading_dominants()) == {w(2, 2, 0), w(2, 0, 2)}
-
-
 class TestRingLaws:
     def test_exhaustive_small_range(self):
         elems = small_orbit_sums(2, 4)
