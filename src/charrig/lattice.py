@@ -11,6 +11,7 @@ All arithmetic is plain integer arithmetic; there is no rational Cartan
 matrix inversion anywhere.
 """
 
+import functools
 import math
 from collections import Counter
 from itertools import permutations
@@ -143,11 +144,17 @@ def saturated_dominants(la: Eps) -> list[Eps]:
     """All dominant weights below la in dominance order, la first,
     sorted by decreasing height (ties broken lexicographically).
 
-    la must be dominant and canonical.  A dominant weight below la,
-    aligned to la's coordinate sum, is a partition of that sum into at
-    most l+1 parts whose partial sums never exceed la's, so we enumerate
-    exactly those partitions.
+    la must be dominant and canonical.  The set is computed once per
+    weight; each call returns a fresh list.
     """
+    return list(_saturated_dominants(tuple(la)))
+
+
+@functools.cache
+def _saturated_dominants(la: Eps) -> tuple[Eps, ...]:
+    """A dominant weight below la, aligned to la's coordinate sum, is a
+    partition of that sum into at most l+1 parts whose partial sums never
+    exceed la's, so we enumerate exactly those partitions."""
     n = len(la)
     total = sum(la)
     la_partials = []
@@ -171,7 +178,7 @@ def saturated_dominants(la: Eps) -> list[Eps]:
 
     rec([], 0)
     out.sort(key=processing_key, reverse=True)
-    return out
+    return tuple(out)
 
 
 def dual_weight(d: Eps) -> Eps:

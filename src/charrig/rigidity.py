@@ -17,6 +17,7 @@ from .lattice import (
     Eps,
     add,
     dual_weight,
+    dominant_representative,
     dominant_weights_up_to,
     from_fundamental,
     fundamental_coords,
@@ -245,11 +246,13 @@ def _product_minus_row(
 def multiplicity_from_product(
     fam: CharacterFamily, mu: Eps, nu: Eps, t: Eps, row: dict[Eps, int]
 ) -> int:
-    """The coefficient of h(t) in f_{mu+nu} computed without f_{mu+nu}
-    itself: the convolution coefficient minus the row-weighted lower
-    members.  row is extract_structure_constants(fam, mu, nu)."""
+    """The coefficient of e(t) in f_{mu+nu} computed without f_{mu+nu}
+    itself: the product coefficient minus the row-weighted lower
+    members, all read at t's dominant representative.  row is
+    extract_structure_constants(fam, mu, nu)."""
+    t = dominant_representative(t)
     prod = fam.member(mu) * fam.member(nu)
-    return _product_minus_row(fam, prod.e_coefficient(t), row, t, skip=add(mu, nu))
+    return _product_minus_row(fam, prod.coefficient(t), row, t, skip=add(mu, nu))
 
 
 def recursion_consistency(
@@ -258,7 +261,11 @@ def recursion_consistency(
     """Check that the gap between the two recursion formulas (the
     multiplicity-from-product value and the structure-constant value at
     t) is insensitive to the entries of f_{mu+nu} away from t, the rows
-    and lower members being held fixed."""
+    and lower members being held fixed.
+
+    The gap is constant by construction: both formulas read f_{mu+nu}
+    only at t, and the probes change only its other entries, so this
+    returns True for every family, perturbed ones included."""
     lam0 = add(mu, nu)
     sat = saturated_dominants(lam0)
     if t not in sat:

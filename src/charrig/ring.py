@@ -2,12 +2,18 @@
 
 Elements live in the orbit-sum basis h(mu), mu dominant, which makes
 Weyl invariance structural: a non-invariant element simply cannot be
-represented.  Products go through a transient expansion into the e-basis
-(orbit convolution) and are re-collected on dominant representatives.
+represented.  Products are orbit-reduced: by Weyl invariance the
+coefficient of h(z) in h(mu) * h(nu) is |W mu| * N_z / |W z|, where N_z
+counts the y in the orbit of nu with mu + y in the orbit of z.  So only
+one orbit is walked per term pair (the smaller one, against the other
+key's dominant point), and the division is checked to be exact.
 """
+
+import operator
 
 from .lattice import (
     Eps,
+    canonical,
     dominant_representative,
     is_dominant,
     orbit,
@@ -79,24 +85,29 @@ class CharElement:
         if not isinstance(other, CharElement):
             return NotImplemented
         self._require_same_rank(other)
+        sizes = {key: orbit_size(key) for key in (*self.terms, *other.terms)}
         orbits: dict[Eps, list[Eps]] = {}
-        for key in list(self.terms) + list(other.terms):
-            if key not in orbits:
-                orbits[key] = list(orbit(key))
-        conv: dict[Eps, int] = {}
+        out: dict[Eps, int] = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
+                # fix the key with the larger orbit, walk the other one
+                fixed, walked = (mu, nu) if sizes[mu] >= sizes[nu] else (nu, mu)
+                if walked not in orbits:
+                    orbits[walked] = list(orbit(walked))
+                hits: dict[Eps, int] = {}
+                for y in orbits[walked]:
+                    z = tuple(sorted(map(operator.add, fixed, y), reverse=True))
+                    hits[z] = hits.get(z, 0) + 1
                 ab = a * b
-                for x in orbits[mu]:
-                    for y in orbits[nu]:
-                        z = tuple(p + q for p, q in zip(x, y))
-                        m = min(z)
-                        if m:
-                            z = tuple(p - m for p in z)
-                        conv[z] = conv.get(z, 0) + ab
-        return CharElement(
-            self.rank, {z: c for z, c in conv.items() if is_dominant(z)}
-        )
+                for z, n in hits.items():
+                    z = canonical(z)  # every z has the same sum: shift after counting
+                    if z not in sizes:
+                        sizes[z] = orbit_size(z)
+                    c, rem = divmod(sizes[fixed] * n, sizes[z])
+                    if rem:
+                        raise ArithmeticError("orbit-reduced product must divide exactly")
+                    out[z] = out.get(z, 0) + ab * c
+        return CharElement(self.rank, out)
 
     __rmul__ = __mul__
 

@@ -166,6 +166,17 @@ class TestSaturatedDominants:
         keys = [processing_key(mu) for mu in sat]
         assert keys == sorted(keys, reverse=True)
 
+    def test_returned_list_is_a_copy(self):
+        la = w(2, 2, 2)
+        expected = [w(2, 2, 2), w(2, 0, 3), w(2, 3, 0), w(2, 1, 1), w(2, 0, 0)]
+        first = saturated_dominants(la)
+        assert first == expected
+        first.append(w(2, 9, 9))
+        assert saturated_dominants(la) == expected
+        second = saturated_dominants(la)
+        second.clear()
+        assert saturated_dominants(la) == expected
+
     @pytest.mark.parametrize("l", [2, 3])
     def test_complete(self, l):
         # every dominant weight below lam shows up

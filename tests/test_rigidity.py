@@ -5,6 +5,7 @@ from charrig.lattice import (
     from_fundamental,
     fundamental_coords,
     height,
+    orbit,
     saturated_dominants,
     zero_weight,
 )
@@ -151,6 +152,19 @@ class TestMultiplicityFromProduct:
     def test_adjoint_zero_weight(self, fam12):
         row = extract_structure_constants(fam12, w(1, 0), w(0, 1))
         assert multiplicity_from_product(fam12, w(1, 0), w(0, 1), w(0, 0), row) == 2
+
+    def test_adjoint_zero_weight_unshifted(self, fam12):
+        # (1,1,1) names the zero weight without the shift to minimum 0
+        row = extract_structure_constants(fam12, w(1, 0), w(0, 1))
+        assert multiplicity_from_product(fam12, w(1, 0), w(0, 1), (1, 1, 1), row) == 2
+
+    def test_non_dominant_t_reads_its_dominant_point(self, fam14):
+        mu, nu = w(1, 0), w(1, 1)
+        row = extract_structure_constants(fam14, mu, nu)
+        for t in saturated_dominants(add(mu, nu)):
+            value = multiplicity_from_product(fam14, mu, nu, t, row)
+            for x in orbit(t):
+                assert multiplicity_from_product(fam14, mu, nu, x, row) == value
 
     def test_leading_term(self, fam14):
         for mu, nu in [(w(1, 0), w(0, 1)), (w(1, 0), w(1, 1))]:

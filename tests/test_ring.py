@@ -1,15 +1,68 @@
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from charrig.lattice import add, dominance_leq, from_fundamental, orbit_size
+from charrig.lattice import (
+    add,
+    canonical,
+    dominance_leq,
+    dominant_weights_up_to,
+    dual_weight,
+    from_fundamental,
+    is_dominant,
+    orbit,
+    orbit_size,
+)
 from charrig.oracle import freudenthal_character
 from charrig.ring import CharElement, orbit_sum, unit, zero
 
 
 def w(l, *coords):
     return from_fundamental(l, coords)
+
+
+def naive_product(f, g):
+    """Reference product by two-orbit convolution: e(x + y) for every x in
+    the orbit of a key of f and y in the orbit of a key of g, collected
+    on the dominant points."""
+    conv = {}
+    for mu, a in f.terms.items():
+        for nu, b in g.terms.items():
+            for x in orbit(mu):
+                for y in orbit(nu):
+                    z = canonical(tuple(p + q for p, q in zip(x, y)))
+                    conv[z] = conv.get(z, 0) + a * b
+    return CharElement(f.rank, {z: c for z, c in conv.items() if is_dominant(z)})
+
+
+# height bounds that keep the convolution reference fast up to A5
+PRODUCT_BOUNDS = {1: 12, 2: 16, 3: 20, 4: 24, 5: 30}
+
+
+@st.composite
+def product_factors(draw):
+    """(f, g) at a rank from A1 to A5: f an integer combination of orbit
+    sums, negative coefficients included; g another one, the unit, f
+    itself, or f's dual, whose keys have f's orbit sizes."""
+    l = draw(st.integers(1, 5))
+    weights = dominant_weights_up_to(l, PRODUCT_BOUNDS[l])
+    element = st.lists(
+        st.tuples(st.sampled_from(weights), st.integers(-3, 3).filter(bool)),
+        min_size=1,
+        max_size=3,
+    ).map(lambda pairs: sum((orbit_sum(mu) * c for mu, c in pairs), zero(l)))
+    f = draw(element)
+    kind = draw(st.sampled_from(["other", "unit", "same", "dual"]))
+    if kind == "other":
+        g = draw(element)
+    elif kind == "unit":
+        g = unit(l)
+    elif kind == "same":
+        g = f
+    else:
+        g = CharElement(l, {dual_weight(mu): c for mu, c in f.terms.items()})
+    return f, g
 
 
 def small_orbit_sums(l, max_eps_sum):
@@ -91,6 +144,14 @@ class TestMultiply:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             orbit_sum((1, 0, 0)) * orbit_sum((1, 0, 0, 0))
+
+    @given(product_factors())
+    # keys of equal orbit size, a negative coefficient
+    @example((orbit_sum(w(3, 1, 0, 0)) * 2, orbit_sum(w(3, 0, 0, 1)) * -3))
+    def test_matches_convolution(self, factors):
+        f, g = factors
+        assert (f * g).terms == naive_product(f, g).terms
+        assert (g * f).terms == naive_product(f, g).terms
 
 
 class TestModuleStructure:
