@@ -45,7 +45,7 @@ def _parse_dominant(text: str, l: int):
 
 
 def _cache_dir(args) -> str | None:
-    return getattr(args, "cache_dir", None) or os.environ.get("CHARRIG_CACHE") or None
+    return args.cache_dir or os.environ.get("CHARRIG_CACHE") or None
 
 
 def _coords_str(eps) -> str:
@@ -290,9 +290,8 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _add_common(p, cache=True, fmt=False) -> None:
-    if cache:
-        p.add_argument("--cache-dir", help="persistent character cache directory")
+def _add_common(p, fmt=False) -> None:
+    p.add_argument("--cache-dir", help="persistent character cache directory")
     if fmt:
         p.add_argument("--format", choices=("json", "tsv"), default="json")
 

@@ -18,7 +18,6 @@ import os
 from .lattice import (
     Eps,
     canonical,
-    dominance_leq,
     dominant_representative,
     from_fundamental,
     fundamental_coords,
@@ -111,10 +110,12 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
             k = 1
             while True:
                 x = tuple(a + k * b for a, b in zip(mu_al, alpha))
-                xd = dominant_representative(x)
-                if not dominance_leq(xd, lam):
+                # x's dominant point lies above mu in dominance, so it comes
+                # before mu in doms: it is in the weight set iff mults has it
+                m = mults.get(dominant_representative(x))
+                if m is None:
                     break  # the root string through mu leaves the weight set
-                acc += mults[xd] * pairing(x, alpha)
+                acc += m * pairing(x, alpha)
                 k += 1
         mu_rho = tuple(a + b for a, b in zip(mu_al, rho_v))
         denom = top_norm - pairing(mu_rho, mu_rho)

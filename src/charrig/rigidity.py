@@ -10,6 +10,7 @@ condition and the tensor duality condition.
 """
 
 import functools
+import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -112,18 +113,12 @@ def random_split(seed: int):
     def split(lam: Eps) -> tuple[Eps, Eps]:
         l = len(lam) - 1
         fc = fundamental_coords(lam)
-        choices = []
-
-        def rec(i, cur):
-            if i == l:
-                if any(cur) and cur != list(fc):
-                    choices.append(tuple(cur))
-                return
-            for c in range(fc[i] + 1):
-                rec(i + 1, cur + [c])
-
-        rec(0, [])
-        mu_fc = rng.choice(sorted(choices))
+        choices = [
+            c
+            for c in itertools.product(*(range(k + 1) for k in fc))
+            if any(c) and c != fc
+        ]
+        mu_fc = rng.choice(choices)
         mu = from_fundamental(l, mu_fc)
         nu = from_fundamental(l, [a - b for a, b in zip(fc, mu_fc)])
         return mu, nu
@@ -314,31 +309,31 @@ def check_support_condition(
 def check_duality_condition(
     fam: CharacterFamily,
 ) -> tuple[list[tuple], list[tuple]]:
-    """Check the tensor duality identity on every triple whose dual side
-    stays inside the bound.
+    """Check the tensor duality identity n_{mu nu}^lam = n_{lam nu*}^mu on
+    every triple whose dual pair (lam, nu*) has a row in bound.
 
     Returns (violations, skipped): violations are
     (mu, nu, lam, lhs, rhs) tuples, skipped are (mu, nu, lam) triples
-    whose dual-side weight escapes the bound."""
+    whose dual pair (lam, nu*) has no row in bound."""
     violations: list[tuple] = []
     skipped: list[tuple] = []
-    row = functools.cache(lambda a, b: extract_structure_constants(fam, a, b))
-
     members = fam.index_set()
-    for mu in members:
-        for nu in members:
-            lam0 = add(mu, nu)
-            if height(lam0) > fam.bound:
+    rows = {
+        (a, b): extract_structure_constants(fam, a, b)
+        for a in members
+        for b in members
+        if height(add(a, b)) <= fam.bound
+    }
+    for (mu, nu), row in rows.items():
+        nw = dual_weight(nu)
+        for lam in saturated_dominants(add(mu, nu)):
+            dual_row = rows.get((lam, nw))
+            if dual_row is None:
+                skipped.append((mu, nu, lam))
                 continue
-            nw = dual_weight(nu)
-            for lam in saturated_dominants(lam0):
-                lhs = row(mu, nu)[lam]
-                if height(nw) > fam.bound or height(add(lam, nw)) > fam.bound:
-                    skipped.append((mu, nu, lam))
-                    continue
-                rhs = row(lam, nw).get(mu, 0)
-                if lhs != rhs:
-                    violations.append((mu, nu, lam, lhs, rhs))
+            lhs, rhs = row[lam], dual_row.get(mu, 0)
+            if lhs != rhs:
+                violations.append((mu, nu, lam, lhs, rhs))
     return violations, skipped
 
 

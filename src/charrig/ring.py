@@ -32,10 +32,9 @@ class CharElement:
 
     __slots__ = ("rank", "terms")
 
-    def __init__(self, rank: int, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
+    def __init__(self, rank: int, terms: dict):
         clean: dict[Eps, int] = {}
-        for mu, c in items:
+        for mu, c in terms.items():
             if not c:
                 continue
             if len(mu) != rank + 1:

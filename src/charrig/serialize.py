@@ -20,12 +20,12 @@ def weight_doc(eps: Eps) -> list[int]:
     return list(fundamental_coords(eps))
 
 
-def parse_weight(l: int, arr, dominant: bool = True) -> Eps:
+def parse_weight(l: int, arr) -> Eps:
     if not isinstance(arr, list) or len(arr) != l or not all(
         isinstance(c, int) and not isinstance(c, bool) for c in arr
     ):
         raise FormatError(f"bad weight {arr!r} for rank {l}")
-    if dominant and any(c < 0 for c in arr):
+    if any(c < 0 for c in arr):
         raise FormatError(f"weight {arr!r} is not dominant")
     return from_fundamental(l, arr)
 

@@ -203,6 +203,18 @@ class TestDualWeight:
             reversed(fundamental_coords(d))
         )
 
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_height_of_dual_pairs(self, l):
+        # duality does not keep height (omega_1 and omega_l differ from
+        # A_2 on), but height is additive on dominant pairs: a pair
+        # (lam, nu*) whose sum is in bound has both parts in bound
+        assert height(dual_weight(fundamental_weight(l, 1))) == l * (l + 1)
+        weights = dominant_weights_up_to(l, 24)
+        for lam in weights:
+            for nu in weights:
+                nw = dual_weight(nu)
+                assert height(add(lam, nw)) == height(lam) + height(nw)
+
 
 class TestRootData:
     def test_rho(self):

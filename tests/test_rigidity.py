@@ -1,7 +1,11 @@
+import functools
+import random
+
 import pytest
 
 from charrig.lattice import (
     add,
+    dual_weight,
     from_fundamental,
     fundamental_coords,
     height,
@@ -36,6 +40,29 @@ from charrig.ring import orbit_sum, unit
 
 def w(*coords):
     return from_fundamental(2, coords)
+
+
+def naive_duality(fam):
+    """Reference duality check: rows computed on demand, each dual pair
+    bound-tested by height."""
+    violations, skipped = [], []
+    row = functools.cache(lambda a, b: extract_structure_constants(fam, a, b))
+    members = fam.index_set()
+    for mu in members:
+        for nu in members:
+            lam0 = add(mu, nu)
+            if height(lam0) > fam.bound:
+                continue
+            nw = dual_weight(nu)
+            for lam in saturated_dominants(lam0):
+                lhs = row(mu, nu)[lam]
+                if height(nw) > fam.bound or height(add(lam, nw)) > fam.bound:
+                    skipped.append((mu, nu, lam))
+                    continue
+                rhs = row(lam, nw).get(mu, 0)
+                if lhs != rhs:
+                    violations.append((mu, nu, lam, lhs, rhs))
+    return violations, skipped
 
 
 @pytest.fixture(scope="module")
@@ -209,8 +236,6 @@ class TestDualityCondition:
         assert skipped  # the finite bound always truncates some duals
 
     def test_skipped_exactly_the_escapees(self, fam10):
-        from charrig.lattice import dual_weight
-
         _, skipped = check_duality_condition(fam10)
         for mu, nu, lam in skipped:
             nw = dual_weight(nu)
@@ -224,6 +249,17 @@ class TestDualityCondition:
         violations, _ = check_duality_condition(bad)
         assert violations
         assert any(w(1, 1) in (mu, nu, add(mu, nu)) for mu, nu, lam, _, _ in violations)
+
+    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
+    def test_matches_naive_check(self, l, bound):
+        fam = true_family(l, bound)
+        families = [fam]
+        for seed in range(3):
+            rng = random.Random(seed)
+            lam, mu = rng.choice(perturbation_sites(fam))
+            families.append(perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2])))
+        for family in families:
+            assert check_duality_condition(family) == naive_duality(family)
 
     def test_witness_triple(self, fam10):
         row = extract_structure_constants(fam10, w(1, 0), w(0, 1))
