@@ -43,7 +43,6 @@ from .rigidity import (
     perturbation_sites,
     random_split,
     reconstruct_family,
-    recursion_consistency,
     table_oracle,
     true_family,
     validate_family,

@@ -6,12 +6,14 @@ dimension product formula.  Tensor product multiplicities are obtained
 by peel-off decomposition in the character basis.
 
 Characters are memoized per (rank, weight); an optional directory adds a
-persistent JSON spill of the same tables.  A cache file that does not
+persistent JSON spill of the same tables, each file written atomically
+(to a temporary name, then renamed).  A cache file that does not
 parse, whose keys are not exactly the saturated dominants, or whose
 leading coefficient is not 1 is discarded and recomputed; a changed
 lower multiplicity is not detected.
 """
 
+import contextlib
 import json
 import os
 
@@ -71,12 +73,17 @@ def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
             for mu, c in sorted_terms(elem.terms)
         ],
     }
+    path = _cache_path(cache_dir, l, lam)
+    tmp = f"{path}.{os.getpid()}.tmp"  # never matches a cache name
     try:
-        with open(_cache_path(cache_dir, l, lam), "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
             fh.write("\n")
+        os.replace(tmp, path)
     except OSError:
-        pass  # cache is an optimization only
+        # cache is an optimization only; leave no partial file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> CharElement:

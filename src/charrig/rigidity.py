@@ -12,13 +12,12 @@ condition and the tensor duality condition.
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .lattice import (
     Eps,
     add,
     dual_weight,
-    dominant_representative,
     dominant_weights_up_to,
     from_fundamental,
     fundamental_coords,
@@ -151,13 +150,8 @@ def reconstruct_family(
                 fundamental_coords(nu)
             ):
                 raise ValueError(f"invalid split {mu} + {nu} for {lam}")
-            f = members[mu] * members[nu]
-            for s in saturated_dominants(lam):
-                if s == lam:
-                    continue
-                c = oracle(mu, nu, s)
-                if c:
-                    f = f - c * members[s]
+            row = {s: oracle(mu, nu, s) for s in saturated_dominants(lam) if s != lam}
+            f = _recursion_step(members, mu, nu, row)
             assert f.coefficient(lam) == 1
             members[lam] = f
     return CharacterFamily(l, bound, members)
@@ -221,67 +215,35 @@ def extract_structure_constants(
     prod = fam.member(mu) * fam.member(nu)
     row: dict[Eps, int] = {}
     for t in saturated_dominants(lam0):
-        row[t] = _product_minus_row(fam, prod.coefficient(t), row, t, skip=t)
+        val = prod.coefficient(t)
+        for s, ns in row.items():
+            if ns:
+                val -= ns * fam.members[s].coefficient(t)
+        row[t] = val
     return row
 
 
-def _product_minus_row(
-    fam: CharacterFamily, prod_t: int, row: dict[Eps, int], t: Eps, skip: Eps
-) -> int:
-    """The structure-constant formula at t: prod_t, the coefficient of
-    e(t) in f_mu * f_nu, minus row[s] times the coefficient of h(t) in
-    f_s, summed over the row's weights s other than skip."""
-    val = prod_t
+def _recursion_step(
+    members: dict, mu: Eps, nu: Eps, row: dict[Eps, int]
+) -> CharElement:
+    """f_mu * f_nu - sum row[s] * f_s over the row's weights s other than
+    mu + nu: f_{mu+nu} itself when row holds its structure constants."""
+    lam0 = add(mu, nu)
+    f = members[mu] * members[nu]
     for s, ns in row.items():
-        if ns and s != skip:
-            val -= ns * fam.member(s).coefficient(t)
-    return val
+        if ns and s != lam0:
+            f = f - ns * members[s]
+    return f
 
 
 def multiplicity_from_product(
     fam: CharacterFamily, mu: Eps, nu: Eps, t: Eps, row: dict[Eps, int]
 ) -> int:
-    """The coefficient of e(t) in f_{mu+nu} computed without f_{mu+nu}
-    itself: the product coefficient minus the row-weighted lower
-    members, all read at t's dominant representative.  row is
-    extract_structure_constants(fam, mu, nu)."""
-    t = dominant_representative(t)
-    prod = fam.member(mu) * fam.member(nu)
-    return _product_minus_row(fam, prod.coefficient(t), row, t, skip=add(mu, nu))
-
-
-def recursion_consistency(
-    fam: CharacterFamily, mu: Eps, nu: Eps, t: Eps, deltas=(1, -1)
-) -> bool:
-    """Check that the gap between the two recursion formulas (the
-    multiplicity-from-product value and the structure-constant value at
-    t) is insensitive to the entries of f_{mu+nu} away from t, the rows
-    and lower members being held fixed.
-
-    The gap is constant by construction: both formulas read f_{mu+nu}
-    only at t, and the probes change only its other entries, so this
-    returns True for every family, perturbed ones included."""
-    lam0 = add(mu, nu)
-    sat = saturated_dominants(lam0)
-    if t not in sat:
-        raise ValueError(f"{t} is not in the saturated set of {lam0}")
-    row = extract_structure_constants(fam, mu, nu)
-    prod_t = (fam.member(mu) * fam.member(nu)).coefficient(t)
-
-    def gap(family: CharacterFamily) -> int:
-        v1 = _product_minus_row(family, prod_t, row, t, skip=lam0)
-        v2 = _product_minus_row(family, prod_t, row, t, skip=t)
-        return v1 - v2
-
-    base = gap(fam)
-    for site in sat:
-        if site in (t, lam0):
-            continue
-        for delta in deltas:
-            probed = perturb_family(fam, lam0, site, delta)
-            if gap(probed) != base:
-                return False
-    return True
+    """The coefficient of e(t) in the recursion formula for f_{mu+nu},
+    which never reads f_{mu+nu} itself.  row maps s to n^s_{mu nu} from
+    any source: extract_structure_constants, or an independent oracle
+    such as tensor_decompose."""
+    return _recursion_step(fam.members, mu, nu, row).e_coefficient(t)
 
 
 def check_support_condition(
@@ -341,10 +303,10 @@ def check_duality_condition(
 class ConditionReport:
     """Verdicts of the two rigidity checks, with per-violation witnesses."""
 
-    support_violations: list = field(default_factory=list)
-    duality_violations: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    members_equal: bool | None = None
+    support_violations: list
+    duality_violations: list
+    skipped: list
+    members_equal: bool
 
     @property
     def support_pass(self) -> bool:

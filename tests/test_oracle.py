@@ -190,6 +190,20 @@ class TestDiskCache:
         oracle.clear_memo()
         assert freudenthal_character(2, lam, cache_dir=d) == good
 
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
+        from charrig import oracle
+
+        def partial_dump(doc, fh):
+            fh.write(json.dumps(doc)[:20])
+            raise OSError("disk full")
+
+        lam = w(2, 2, 1)
+        good = freudenthal_character(2, lam)
+        oracle.clear_memo()
+        monkeypatch.setattr(json, "dump", partial_dump)
+        assert freudenthal_character(2, lam, cache_dir=str(tmp_path)) == good
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestA4Sample:
     def test_dimension_consistency_sample(self):

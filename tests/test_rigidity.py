@@ -29,7 +29,6 @@ from charrig.rigidity import (
     perturbation_sites,
     random_split,
     reconstruct_family,
-    recursion_consistency,
     table_oracle,
     true_family,
     validate_family,
@@ -310,23 +309,6 @@ class TestPerturb:
         assert (w(1, 1), w(0, 0)) in sites
         assert (w(2, 0), w(0, 1)) in sites
         assert all(mu != lam for lam, mu in sites)
-
-
-class TestRecursionConsistency:
-    def test_true_family_sites(self, fam14):
-        assert recursion_consistency(fam14, w(1, 0), w(0, 1), w(0, 0))
-        assert recursion_consistency(fam14, w(1, 0), w(1, 1), w(1, 0))
-
-    def test_leading_site_trivial(self, fam14):
-        assert recursion_consistency(fam14, w(1, 0), w(1, 1), w(2, 1))
-
-    def test_perturbed_family_still_consistent(self, fam12):
-        bad = perturb_family(fam12, w(1, 1), w(0, 0), 3)
-        assert recursion_consistency(bad, w(1, 0), w(0, 1), w(0, 0))
-
-    def test_rejects_foreign_site(self, fam12):
-        with pytest.raises(ValueError):
-            recursion_consistency(fam12, w(1, 0), w(0, 1), w(3, 0))
 
 
 class TestContrapositive:
