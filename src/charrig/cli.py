@@ -59,6 +59,14 @@ def _emit(doc, fmt: str, tsv_lines) -> None:
         sys.stdout.write("\n".join(tsv_lines) + "\n")
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise CLIError(2, f"cannot read {what} {path}: {exc}") from None
+
+
 def _write_file(path: str, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -143,12 +151,7 @@ def cmd_reconstruct(args) -> int:
     else:
         if not args.table:
             raise CLIError(2, "--oracle file requires --table")
-        try:
-            with open(args.table, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise CLIError(2, f"cannot read table {args.table}: {exc}") from None
-        table_rank, entries = serialize.table_from_doc(doc)
+        table_rank, entries = serialize.table_from_doc(_read_json(args.table, "table"))
         if table_rank != args.rank:
             raise CLIError(2, f"table rank {table_rank} does not match --rank {args.rank}")
         query = rigidity.table_oracle(entries)
@@ -178,12 +181,7 @@ def cmd_reconstruct(args) -> int:
 
 def _load_family(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise CLIError(2, f"cannot read family {path}: {exc}") from None
-    try:
-        return serialize.family_from_doc(doc)
+        return serialize.family_from_doc(_read_json(path, "family"))
     except FormatError as exc:
         raise CLIError(2, f"malformed family file: {exc}") from None
 

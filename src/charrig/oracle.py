@@ -64,7 +64,6 @@ def _load_cached(cache_dir: str, l: int, lam: Eps) -> CharElement | None:
 
 
 def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
-    os.makedirs(cache_dir, exist_ok=True)
     doc = {
         "rank": l,
         "lambda": list(fundamental_coords(lam)),
@@ -76,12 +75,14 @@ def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
     path = _cache_path(cache_dir, l, lam)
     tmp = f"{path}.{os.getpid()}.tmp"  # never matches a cache name
     try:
+        os.makedirs(cache_dir, exist_ok=True)
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
             fh.write("\n")
         os.replace(tmp, path)
     except OSError:
-        # cache is an optimization only; leave no partial file behind
+        # cache is an optimization only: skip a directory that cannot be
+        # created or written, and leave no partial file behind
         with contextlib.suppress(OSError):
             os.remove(tmp)
 

@@ -57,14 +57,6 @@ class CharacterFamily:
     bound: int
     members: dict
 
-    def member(self, lam: Eps) -> CharElement:
-        try:
-            return self.members[lam]
-        except KeyError:
-            raise BoundExceeded(
-                f"{lam} (height {height(lam)}) outside bound {self.bound}"
-            ) from None
-
     def index_set(self) -> list[Eps]:
         return sorted(self.members, key=processing_key)
 
@@ -208,11 +200,11 @@ def extract_structure_constants(
     Computed top-down: the convolution coefficient at t minus the
     already-known contributions of everything above t."""
     lam0 = add(mu, nu)
-    if height(lam0) > fam.bound:
+    if lam0 not in fam.members:
         raise BoundExceeded(
             f"{lam0} (height {height(lam0)}) outside bound {fam.bound}"
         )
-    prod = fam.member(mu) * fam.member(nu)
+    prod = fam.members[mu] * fam.members[nu]
     row: dict[Eps, int] = {}
     for t in saturated_dominants(lam0):
         val = prod.coefficient(t)
@@ -284,7 +276,7 @@ def check_duality_condition(
         (a, b): extract_structure_constants(fam, a, b)
         for a in members
         for b in members
-        if height(add(a, b)) <= fam.bound
+        if add(a, b) in fam.members
     }
     for (mu, nu), row in rows.items():
         nw = dual_weight(nu)

@@ -216,3 +216,20 @@ class TestDeterminismAndCache:
         res = run("char", "--rank", "2", "--weight", "2,1", env=env)
         assert res.returncode == 0
         assert (tmp_path / "envcache").exists()
+
+    def test_unusable_cache_dir_is_skipped(self, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        plain = run("char", "--rank", "2", "--weight", "2,1")
+        for cache in (blocker, blocker / "sub"):
+            res = run("char", "--rank", "2", "--weight", "2,1", "--cache-dir", str(cache))
+            assert res.returncode == 0
+            assert res.stdout == plain.stdout
+            assert res.stderr == ""
+        assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("module", ["lattice", "ring", "oracle", "rigidity", "serialize", "cli"])
+def test_module_imports_alone(module):
+    res = subprocess.run([sys.executable, "-c", f"import charrig.{module}"])
+    assert res.returncode == 0

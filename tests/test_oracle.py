@@ -204,6 +204,19 @@ class TestDiskCache:
         assert freudenthal_character(2, lam, cache_dir=str(tmp_path)) == good
         assert list(tmp_path.iterdir()) == []
 
+    def test_unusable_cache_dir_is_skipped(self, tmp_path):
+        from charrig import oracle
+
+        oracle.clear_memo()
+        lam = w(2, 2, 1)
+        good = freudenthal_character(2, lam)
+        oracle.clear_memo()
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        assert freudenthal_character(2, lam, cache_dir=str(blocker)) == good
+        assert blocker.read_text() == "not a directory"
+        assert list(tmp_path.iterdir()) == [blocker]
+
 
 class TestA4Sample:
     def test_dimension_consistency_sample(self):

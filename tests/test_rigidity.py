@@ -117,7 +117,7 @@ class TestExtraction:
                 total = family.members[zero_weight(2)] * 0
                 for s, c in row.items():
                     total = total + c * family.members[s]
-                assert total == family.member(mu) * family.member(nu)
+                assert total == family.members[mu] * family.members[nu]
 
 
 class TestReconstruction:
