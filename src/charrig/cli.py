@@ -9,6 +9,7 @@ condition violation), 2 input error, 3 oracle incompleteness.
 """
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -151,7 +152,10 @@ def cmd_reconstruct(args) -> int:
     else:
         if not args.table:
             raise CLIError(2, "--oracle file requires --table")
-        table_rank, entries = serialize.table_from_doc(_read_json(args.table, "table"))
+        try:
+            table_rank, entries = serialize.table_from_doc(_read_json(args.table, "table"))
+        except FormatError as exc:
+            raise CLIError(2, f"malformed table file: {exc}") from None
         if table_rank != args.rank:
             raise CLIError(2, f"table rank {table_rank} does not match --rank {args.rank}")
         query = rigidity.table_oracle(entries)
@@ -294,7 +298,10 @@ def _add_common(p, fmt=False) -> None:
         p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The charrig parser, built once per process: parse_args leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="charrig",
         description="Exact type A characters, tensor decompositions, and "

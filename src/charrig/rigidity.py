@@ -7,12 +7,22 @@ of the product expansion in the family basis), rebuild the family from a
 structure-constant oracle, and test the two conditions that force the
 family to be the true characters: the small-support multiplicity
 condition and the tensor duality condition.
+
+Each family carries a memo of the ring products f_mu * f_nu that
+extract_structure_constants has computed, keyed on the identities of the
+two member objects.  perturb_family hands the copy a child of that memo:
+the copy reads the parent's products, which are still valid for every
+member it shares, and writes its own only into the child map, which is
+freed with the copy.  A replaced member has a new identity, so no product
+of the old one is read for it.  The memo changes only the speed: every
+result is identical with it cold, warm or absent.
 """
 
 import functools
 import itertools
 import random
-from dataclasses import dataclass
+from collections import ChainMap
+from dataclasses import dataclass, field
 
 from .lattice import (
     Eps,
@@ -51,11 +61,16 @@ class PerturbationError(ValueError):
 @dataclass(frozen=True)
 class CharacterFamily:
     """An indexed collection {lam: f_lam} over all dominant weights with
-    height(lam) <= bound."""
+    height(lam) <= bound.
+
+    products memoizes member products as {(id, id): (f, g, f * g)}, the
+    ids in sorted order; holding f and g keeps their ids from being
+    reused while the entry lives.  It takes no part in == or repr."""
 
     rank: int
     bound: int
     members: dict
+    products: ChainMap = field(default_factory=ChainMap, compare=False, repr=False)
 
     def index_set(self) -> list[Eps]:
         return sorted(self.members, key=processing_key)
@@ -204,14 +219,23 @@ def extract_structure_constants(
         raise BoundExceeded(
             f"{lam0} (height {height(lam0)}) outside bound {fam.bound}"
         )
-    prod = fam.members[mu] * fam.members[nu]
+    f, g = fam.members[mu], fam.members[nu]
+    # the product commutes: one memo entry serves both orders
+    key = (id(f), id(g)) if id(f) <= id(g) else (id(g), id(f))
+    try:
+        prod = fam.products[key][2]
+    except KeyError:
+        prod = f * g
+        fam.products[key] = (f, g, prod)
     row: dict[Eps, int] = {}
+    above: list[tuple[int, dict]] = []  # (n^s, terms of f_s) for n^s != 0
     for t in saturated_dominants(lam0):
-        val = prod.coefficient(t)
-        for s, ns in row.items():
-            if ns:
-                val -= ns * fam.members[s].coefficient(t)
+        val = prod.terms.get(t, 0)
+        for ns, terms in above:
+            val -= ns * terms.get(t, 0)
         row[t] = val
+        if val:
+            above.append((val, fam.members[t].terms))
     return row
 
 
@@ -272,15 +296,26 @@ def check_duality_condition(
     violations: list[tuple] = []
     skipped: list[tuple] = []
     members = fam.index_set()
-    rows = {
-        (a, b): extract_structure_constants(fam, a, b)
-        for a in members
-        for b in members
-        if add(a, b) in fam.members
-    }
-    for (mu, nu), row in rows.items():
-        nw = dual_weight(nu)
-        for lam in saturated_dominants(add(mu, nu)):
+    # rows[a, b] for every pair whose sum a + b is in bound, keyed in
+    # index_set order.  index_set ascends by height and height is additive
+    # on dominant weights, so the first b out of bound ends a's pairs.  The
+    # product commutes, so rows[b, a] is rows[a, b].
+    rows: dict[tuple[Eps, Eps], dict[Eps, int]] = {}
+    sums: list[Eps] = []
+    for a in members:
+        for b in members:
+            lam0 = add(a, b)
+            if lam0 not in fam.members:
+                break
+            if (b, a) in rows:
+                rows[a, b] = rows[b, a]
+            else:
+                rows[a, b] = extract_structure_constants(fam, a, b)
+            sums.append(lam0)
+    duals = {b: dual_weight(b) for b in members}
+    for ((mu, nu), row), lam0 in zip(rows.items(), sums):
+        nw = duals[nu]
+        for lam in saturated_dominants(lam0):
             dual_row = rows.get((lam, nw))
             if dual_row is None:
                 skipped.append((mu, nu, lam))
@@ -344,7 +379,7 @@ def perturb_family(
     terms[mu] = terms.get(mu, 0) + delta
     members = dict(fam.members)
     members[lam] = CharElement(fam.rank, terms)
-    return CharacterFamily(fam.rank, fam.bound, members)
+    return CharacterFamily(fam.rank, fam.bound, members, fam.products.new_child())
 
 
 def perturbation_sites(fam: CharacterFamily) -> list[tuple[Eps, Eps]]:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -109,6 +110,18 @@ class TestReconstruct:
         )
         assert res.returncode == 1
         assert json.loads(res.stdout)["diff"]
+
+    def test_family_file_as_table_exit_2(self, tmp_path):
+        fam = tmp_path / "fam.json"
+        run("reconstruct", "--rank", "2", "--bound", "6", "--out", str(fam))
+        res = run(
+            "reconstruct", "--rank", "2", "--bound", "6",
+            "--oracle", "file", "--table", str(fam),
+        )
+        assert res.returncode == 2
+        assert res.stderr.startswith("charrig: malformed table file:")
+        assert len(res.stderr.splitlines()) == 1
+        assert res.stdout == ""
 
     def test_incomplete_table_exit_3(self, tmp_path):
         table = tmp_path / "tab.json"
@@ -227,6 +240,52 @@ class TestDeterminismAndCache:
             assert res.stdout == plain.stdout
             assert res.stderr == ""
         assert blocker.read_text() == "not a directory"
+
+
+def stdout_sha256(*args):
+    res = subprocess.run([sys.executable, "-m", "charrig", *args], capture_output=True)
+    return res.returncode, hashlib.sha256(res.stdout).hexdigest()
+
+
+# SHA-256 of the standard output, recorded at the seed commit: every change
+# since has kept these outputs byte-identical.
+OUTPUT_SHA256 = {
+    "char --rank 2 --weight 2,2":
+        "834097578c25b00cb68cc71e94f35847c64c932ea52119f96d1d4fc978dbf00e",
+    "char --rank 2 --weight 2,2 --format tsv":
+        "0f06505937135ac20cbe8328bf66b5b1ab82ede6b8aa9d8f2b0782b3068bbd83",
+    "char --rank 3 --weight 1,1,1":
+        "f0c0193a6264df4398227340033b4befeb6ce796a7d510cc024fcbf8ba7343de",
+    "char --rank 3 --weight 1,1,1 --format tsv":
+        "aa4ea1ddea680c95078f2d6d890451b778844eb1a6b67bac74c290597a8c8adf",
+    "tensor --rank 2 --mu 2,1 --nu 1,2":
+        "53ea76d628ebf4547f15037c88f6db41ac651b52238ccf33f3e4d2492b09abdc",
+    "tensor --rank 3 --mu 1,0,1 --nu 0,1,1":
+        "fe834cd4a1225bf2770f46ab34d5411f3ee5b2477c35c1d7342506dbb20cbef7",
+}
+
+# verify on the family that perturb --site SITE --delta 1 writes at A2/12
+VERIFY_SHA256 = {
+    "1,1:0,0": "24c7d093c8694623e2dc4c7f98901da06cf8db9fc28bfe7dfb34e52382405a50",
+    "2,0:0,1": "6a0382a9f1f8fa7bcdf97c62aba24de8b2651cb2e99e1ded3463e9f5e92897d2",
+    "3,0:1,1": "0efa53eeb1b0a783a3a0378c71f2a3ac3c943b7ebdcb1ec99bc4e81d30fdf604",
+}
+
+
+@pytest.mark.parametrize("command", list(OUTPUT_SHA256))
+def test_output_bytes_unchanged(command):
+    assert stdout_sha256(*command.split()) == (0, OUTPUT_SHA256[command])
+
+
+@pytest.mark.parametrize("site", list(VERIFY_SHA256))
+def test_verify_output_bytes_unchanged(tmp_path, site):
+    fam = tmp_path / "fam.json"
+    res = run(
+        "perturb", "--rank", "2", "--bound", "12",
+        "--site", site, "--delta", "1", "--out", str(fam),
+    )
+    assert res.returncode == 0
+    assert stdout_sha256("verify", "--family", str(fam)) == (1, VERIFY_SHA256[site])
 
 
 @pytest.mark.parametrize("module", ["lattice", "ring", "oracle", "rigidity", "serialize", "cli"])

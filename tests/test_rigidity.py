@@ -16,6 +16,7 @@ from charrig.lattice import (
 from charrig.oracle import freudenthal_character, tensor_decompose
 from charrig.rigidity import (
     BoundExceeded,
+    CharacterFamily,
     OracleIncomplete,
     PerturbationError,
     check_duality_condition,
@@ -34,7 +35,7 @@ from charrig.rigidity import (
     validate_family,
     verify_family,
 )
-from charrig.ring import orbit_sum, unit
+from charrig.ring import CharElement, orbit_sum, unit
 
 
 def w(*coords):
@@ -257,14 +258,49 @@ class TestDualityCondition:
             rng = random.Random(seed)
             lam, mu = rng.choice(perturbation_sites(fam))
             families.append(perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2])))
+        lam, mu = random.Random(3).choice(perturbation_sites(fam))
+        families.append(perturb_family(families[-1], lam, mu, 1))
+        # each family is checked after its parent, so it reads the parent's
+        # memoized products; the reference reads a copy with no memo
         for family in families:
-            assert check_duality_condition(family) == naive_duality(family)
+            fresh = CharacterFamily(family.rank, family.bound, dict(family.members))
+            assert check_duality_condition(family) == naive_duality(fresh)
 
     def test_witness_triple(self, fam10):
         row = extract_structure_constants(fam10, w(1, 0), w(0, 1))
         assert row[w(0, 0)] == 1
         dual_row = extract_structure_constants(fam10, w(0, 0), w(1, 0))
         assert dual_row[w(1, 0)] == 1
+
+
+class TestProductMemo:
+    def test_child_writes_only_its_own_map(self):
+        fam = true_family(2, 10)
+        verify_family(fam)
+        own = fam.products.maps[0]
+        keys = set(own)
+        child = perturb_family(fam, w(1, 1), w(0, 0), 1)
+        verify_family(child)
+        assert own.keys() == keys
+        # the child recomputes only the products of its replaced member
+        assert 0 < len(child.products.maps[0]) < len(own)
+
+    def test_replaced_member_is_never_read_stale(self):
+        fam = true_family(2, 10)
+        assert verify_family(fam).passed
+        fam.members[w(1, 1)] = CharElement(2, {w(1, 1): 1, w(0, 0): 3})
+        fresh = CharacterFamily(fam.rank, fam.bound, dict(fam.members))
+        report = verify_family(fresh)
+        assert not report.duality_pass
+        assert verify_family(fam) == report
+
+    def test_memo_takes_no_part_in_equality(self):
+        warm = true_family(2, 10)
+        check_duality_condition(warm)
+        cold = CharacterFamily(warm.rank, warm.bound, dict(warm.members))
+        assert warm.products and not cold.products
+        assert warm == cold
+        assert repr(warm) == repr(cold)
 
 
 class TestVerify:
