@@ -16,6 +16,15 @@ member it shares, and writes its own only into the child map, which is
 freed with the copy.  A replaced member has a new identity, so no product
 of the old one is read for it.  The memo changes only the speed: every
 result is identical with it cold, warm or absent.
+
+Which pairs, triples and small-support sites the two checks read depends
+only on the rank and the height bound, never on the members.  _layout
+computes that layout once per (rank, bound) and keeps it for the life of
+the process, as lattice keeps each saturated set; both checks refuse a
+family whose index set is not the layout's.  Like the product memo, the
+layout changes only the speed: every result is identical with it cold or
+warm.  The support check skips a member that is the freudenthal_character
+object of its weight, as every member shared with true_family is.
 """
 
 import functools
@@ -23,6 +32,7 @@ import itertools
 import random
 from collections import ChainMap
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lattice import (
     Eps,
@@ -76,12 +86,15 @@ class CharacterFamily:
         return sorted(self.members, key=processing_key)
 
 
+def _require_index_set(fam: CharacterFamily, expected) -> None:
+    if fam.members.keys() != expected:
+        raise ValueError("index set is not exactly the dominant weights in bound")
+
+
 def validate_family(fam: CharacterFamily) -> None:
     """Check the structural invariants: complete downward-closed index
     set, unitriangularity, and support inside the saturated set."""
-    expected = set(dominant_weights_up_to(fam.rank, fam.bound))
-    if set(fam.members) != expected:
-        raise ValueError("index set is not exactly the dominant weights in bound")
+    _require_index_set(fam, set(dominant_weights_up_to(fam.rank, fam.bound)))
     for lam, f in fam.members.items():
         if f.rank != fam.rank:
             raise ValueError(f"member {lam} has wrong rank")
@@ -159,7 +172,8 @@ def reconstruct_family(
                 raise ValueError(f"invalid split {mu} + {nu} for {lam}")
             row = {s: oracle(mu, nu, s) for s in saturated_dominants(lam) if s != lam}
             f = _recursion_step(members, mu, nu, row)
-            assert f.coefficient(lam) == 1
+            if f.coefficient(lam) != 1:
+                raise ArithmeticError(f"rebuilt member {lam} must have leading coefficient 1")
             members[lam] = f
     return CharacterFamily(l, bound, members)
 
@@ -262,25 +276,68 @@ def multiplicity_from_product(
     return _recursion_step(fam.members, mu, nu, row).e_coefficient(t)
 
 
+class _Layout(NamedTuple):
+    """What the two checks read of a family with a given rank and bound,
+    none of it the members themselves."""
+
+    pairs: tuple[tuple[Eps, Eps, Eps], ...]  # (a, b, a + b), a + b in bound
+    duals: dict[Eps, Eps]  # b: b*
+    # lam: the mu in its saturated set where lam - mu misses a simple
+    # root, keyed by the index set in index_set() order
+    sites: dict[Eps, tuple[Eps, ...]]
+
+
+@functools.cache
+def _layout(l: int, bound: int) -> _Layout:
+    index = tuple(dominant_weights_up_to(l, bound))
+    inside = set(index)
+    # index ascends by height and height is additive on dominant weights,
+    # so the first b out of bound ends a's pairs
+    pairs = []
+    for a in index:
+        for b in index:
+            lam0 = add(a, b)
+            if lam0 not in inside:
+                break
+            pairs.append((a, b, lam0))
+    duals = {b: dual_weight(b) for b in index}
+    sites = {
+        lam: tuple(
+            mu
+            for mu in saturated_dominants(lam)
+            if support_size(root_coordinates(lam, mu)) < l
+        )
+        for lam in index
+    }
+    return _Layout(tuple(pairs), duals, sites)
+
+
+def _family_layout(fam: CharacterFamily) -> _Layout:
+    layout = _layout(fam.rank, fam.bound)
+    _require_index_set(fam, layout.sites.keys())
+    return layout
+
+
 def check_support_condition(
     fam: CharacterFamily, cache_dir: str | None = None
 ) -> list[tuple]:
     """Compare family multiplicities against true multiplicities at
     every site where lam - mu misses at least one simple root.
 
-    Returns (lam, mu, expected, found) violation tuples."""
-    l = fam.rank
+    Returns (lam, mu, expected, found) violation tuples.  Raises
+    ValueError when the index set is not the dominant weights in bound."""
+    layout = _family_layout(fam)
     violations = []
-    for lam in fam.index_set():
-        truth = freudenthal_character(l, lam, cache_dir)
+    for lam, sites in layout.sites.items():
+        truth = freudenthal_character(fam.rank, lam, cache_dir)
         f = fam.members[lam]
-        for mu in saturated_dominants(lam):
-            beta = root_coordinates(lam, mu)
-            if support_size(beta) < l:
-                expected = truth.coefficient(mu)
-                found = f.coefficient(mu)
-                if expected != found:
-                    violations.append((lam, mu, expected, found))
+        if f is truth:  # a member shared with the true family
+            continue
+        for mu in sites:
+            expected = truth.coefficient(mu)
+            found = f.coefficient(mu)
+            if expected != found:
+                violations.append((lam, mu, expected, found))
     return violations
 
 
@@ -292,29 +349,21 @@ def check_duality_condition(
 
     Returns (violations, skipped): violations are
     (mu, nu, lam, lhs, rhs) tuples, skipped are (mu, nu, lam) triples
-    whose dual pair (lam, nu*) has no row in bound."""
+    whose dual pair (lam, nu*) has no row in bound.  Raises ValueError
+    when the index set is not the dominant weights in bound."""
+    layout = _family_layout(fam)
     violations: list[tuple] = []
     skipped: list[tuple] = []
-    members = fam.index_set()
-    # rows[a, b] for every pair whose sum a + b is in bound, keyed in
-    # index_set order.  index_set ascends by height and height is additive
-    # on dominant weights, so the first b out of bound ends a's pairs.  The
-    # product commutes, so rows[b, a] is rows[a, b].
+    # the product commutes, so rows[b, a] is rows[a, b]
     rows: dict[tuple[Eps, Eps], dict[Eps, int]] = {}
-    sums: list[Eps] = []
-    for a in members:
-        for b in members:
-            lam0 = add(a, b)
-            if lam0 not in fam.members:
-                break
-            if (b, a) in rows:
-                rows[a, b] = rows[b, a]
-            else:
-                rows[a, b] = extract_structure_constants(fam, a, b)
-            sums.append(lam0)
-    duals = {b: dual_weight(b) for b in members}
-    for ((mu, nu), row), lam0 in zip(rows.items(), sums):
-        nw = duals[nu]
+    for a, b, _ in layout.pairs:
+        if (b, a) in rows:
+            rows[a, b] = rows[b, a]
+        else:
+            rows[a, b] = extract_structure_constants(fam, a, b)
+    for mu, nu, lam0 in layout.pairs:
+        row = rows[mu, nu]
+        nw = layout.duals[nu]
         for lam in saturated_dominants(lam0):
             dual_row = rows.get((lam, nw))
             if dual_row is None:
@@ -355,10 +404,8 @@ def verify_family(
     against the true characters."""
     support_violations = check_support_condition(fam, cache_dir)
     duality_violations, skipped = check_duality_condition(fam)
-    equal = all(
-        fam.members[lam] == freudenthal_character(fam.rank, lam, cache_dir)
-        for lam in fam.index_set()
-    )
+    truths = (freudenthal_character(fam.rank, lam, cache_dir) for lam in fam.members)
+    equal = all(f is t or f == t for f, t in zip(fam.members.values(), truths))
     return ConditionReport(support_violations, duality_violations, skipped, equal)
 
 

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from charrig import rigidity
 from charrig.lattice import (
     add,
     dual_weight,
@@ -10,7 +11,9 @@ from charrig.lattice import (
     fundamental_coords,
     height,
     orbit,
+    root_coordinates,
     saturated_dominants,
+    support_size,
     zero_weight,
 )
 from charrig.oracle import freudenthal_character, tensor_decompose
@@ -35,7 +38,7 @@ from charrig.rigidity import (
     validate_family,
     verify_family,
 )
-from charrig.ring import CharElement, orbit_sum, unit
+from charrig.ring import CharElement, orbit_sum, unit, zero
 
 
 def w(*coords):
@@ -63,6 +66,41 @@ def naive_duality(fam):
                 if lhs != rhs:
                     violations.append((mu, nu, lam, lhs, rhs))
     return violations, skipped
+
+
+def naive_support(fam):
+    """Reference support check: every member compared at every site of
+    its saturated set whose root coordinates miss a simple root."""
+    l = fam.rank
+    violations = []
+    for lam in fam.index_set():
+        truth = freudenthal_character(l, lam)
+        f = fam.members[lam]
+        for mu in saturated_dominants(lam):
+            if support_size(root_coordinates(lam, mu)) < l:
+                expected, found = truth.coefficient(mu), f.coefficient(mu)
+                if expected != found:
+                    violations.append((lam, mu, expected, found))
+    return violations
+
+
+def sweep_families(fam):
+    """fam, three seeded single-site perturbations of it and a
+    perturbation of the last one, each listed after its parent."""
+    families = [fam]
+    for seed in range(3):
+        rng = random.Random(seed)
+        lam, mu = rng.choice(perturbation_sites(fam))
+        families.append(perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2])))
+    lam, mu = random.Random(3).choice(perturbation_sites(fam))
+    families.append(perturb_family(families[-1], lam, mu, 1))
+    return families
+
+
+def fresh_copy(fam):
+    """A family equal to fam that shares no member object and no memo."""
+    members = {lam: CharElement(f.rank, dict(f.terms)) for lam, f in fam.members.items()}
+    return CharacterFamily(fam.rank, fam.bound, members)
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +196,11 @@ class TestReconstruction:
         fam = reconstruct_family(table_oracle(entries), 2, 12)
         assert fam.members == fam12.members
 
+    def test_wrong_leading_coefficient_raises(self, monkeypatch):
+        monkeypatch.setattr(rigidity, "_recursion_step", lambda members, mu, nu, row: zero(2))
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            reconstruct_family(lr_oracle(2), 2, 10)
+
     def test_incomplete_table_aborts(self):
         entries = lr_table(2, 10)
         # the split of 2*omega_1 queries this lower term during reconstruction
@@ -228,6 +271,19 @@ class TestSupportCondition:
         bad = perturb_family(fam10, w(1, 1), w(0, 0), 1)
         assert check_support_condition(bad) == []
 
+    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
+    def test_matches_naive_check(self, l, bound):
+        fam = true_family(l, bound)
+        # the true family's members are the oracle's own objects, so the
+        # check skips them; the fresh copies take the full comparison
+        assert all(f is freudenthal_character(l, lam) for lam, f in fam.members.items())
+        families = sweep_families(fam)
+        assert any(naive_support(family) for family in families)
+        for family in families:
+            expected = naive_support(family)
+            assert check_support_condition(family) == expected
+            assert check_support_condition(fresh_copy(family)) == expected
+
 
 class TestDualityCondition:
     def test_true_family_clean(self, fam10):
@@ -252,17 +308,9 @@ class TestDualityCondition:
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
     def test_matches_naive_check(self, l, bound):
-        fam = true_family(l, bound)
-        families = [fam]
-        for seed in range(3):
-            rng = random.Random(seed)
-            lam, mu = rng.choice(perturbation_sites(fam))
-            families.append(perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2])))
-        lam, mu = random.Random(3).choice(perturbation_sites(fam))
-        families.append(perturb_family(families[-1], lam, mu, 1))
         # each family is checked after its parent, so it reads the parent's
         # memoized products; the reference reads a copy with no memo
-        for family in families:
+        for family in sweep_families(true_family(l, bound)):
             fresh = CharacterFamily(family.rank, family.bound, dict(family.members))
             assert check_duality_condition(family) == naive_duality(fresh)
 
@@ -301,6 +349,29 @@ class TestProductMemo:
         assert warm.products and not cold.products
         assert warm == cold
         assert repr(warm) == repr(cold)
+
+
+class TestLayout:
+    @pytest.mark.parametrize("check", [check_support_condition, check_duality_condition])
+    def test_missing_member_refused(self, fam10, check):
+        members = dict(fam10.members)
+        del members[w(1, 1)]
+        with pytest.raises(ValueError, match="index set is not exactly"):
+            check(CharacterFamily(2, 10, members))
+
+    @pytest.mark.parametrize("check", [check_support_condition, check_duality_condition])
+    def test_extra_member_refused(self, fam10, check):
+        members = dict(fam10.members)
+        members[w(4, 0)] = freudenthal_character(2, w(4, 0))  # height 16
+        with pytest.raises(ValueError, match="index set is not exactly"):
+            check(CharacterFamily(2, 10, members))
+
+    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
+    def test_reports_identical_cold_or_warm(self, l, bound):
+        for family in sweep_families(true_family(l, bound)):
+            warm = verify_family(family)
+            rigidity._layout.cache_clear()
+            assert verify_family(family) == warm
 
 
 class TestVerify:
