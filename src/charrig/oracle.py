@@ -3,7 +3,8 @@
 Weight multiplicities come from the Freudenthal recursion (exact integer
 divisions throughout, checked), cross-checkable against the Weyl
 dimension product formula.  Tensor product multiplicities are obtained
-by peel-off decomposition in the character basis.
+by unitriangular elimination in the character basis, the same
+ring.expand that rigidity.extract_structure_constants runs on a family.
 
 Characters are memoized per (rank, weight); an optional directory adds a
 persistent JSON spill of the same tables, each file written atomically
@@ -30,7 +31,7 @@ from .lattice import (
     rho,
     saturated_dominants,
 )
-from .ring import CharElement, sorted_terms
+from .ring import CharElement, expand, sorted_terms
 
 _MEMO: dict[tuple[int, Eps], CharElement] = {}
 
@@ -161,19 +162,18 @@ def weyl_dim(l: int, lam: Eps) -> int:
 
 
 def decompose(f: CharElement, cache_dir: str | None = None) -> dict[Eps, int]:
-    """Coefficients d_mu with f = sum d_mu ch_mu, by repeatedly peeling
-    the term of largest processing key.  Height strictly increases up
-    the dominance order, so that term is maximal in dominance and its
-    coefficient is d_mu.  The residue ends exactly zero because the
-    characters are a basis of the invariant ring."""
-    out: dict[Eps, int] = {}
-    residue = f
-    while residue:
-        mu = max(residue.terms, key=processing_key)
-        c = residue.terms[mu]
-        out[mu] = c
-        residue = residue - c * freudenthal_character(f.rank, mu, cache_dir)
-    return out
+    """Coefficients d_mu with f = sum d_mu ch_mu, the nonzero ones only,
+    by ring.expand over every dominant weight below a term of f in
+    decreasing processing order.  Height strictly increases up the
+    dominance order, so every character's lower terms come after its
+    highest weight."""
+    weights: set[Eps] = set()
+    for mu in sorted(f.terms, key=processing_key, reverse=True):
+        if mu not in weights:  # else its saturated set is already in
+            weights.update(saturated_dominants(mu))
+    order = sorted(weights, key=processing_key, reverse=True)
+    row = expand(f, order, lambda mu: freudenthal_character(f.rank, mu, cache_dir))
+    return {mu: d for mu, d in row.items() if d}
 
 
 def tensor_decompose(

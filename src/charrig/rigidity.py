@@ -20,8 +20,9 @@ result is identical with it cold, warm or absent.
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, never on the members.  _layout
 computes that layout once per (rank, bound) and keeps it for the life of
-the process, as lattice keeps each saturated set; both checks refuse a
-family whose index set is not the layout's.  Like the product memo, the
+the process, as lattice keeps each saturated set; both checks and
+validate_family refuse a family whose index set is not the layout's, and
+lr_table walks the layout's pairs.  Like the product memo, the
 layout changes only the speed: every result is identical with it cold or
 warm.  The support check skips a member that is the freudenthal_character
 object of its weight, as every member shared with true_family is.
@@ -49,7 +50,7 @@ from .lattice import (
     support_size,
 )
 from .oracle import freudenthal_character, tensor_decompose
-from .ring import CharElement, orbit_sum, unit
+from .ring import CharElement, expand, orbit_sum, unit
 
 
 class BoundExceeded(ValueError):
@@ -86,15 +87,10 @@ class CharacterFamily:
         return sorted(self.members, key=processing_key)
 
 
-def _require_index_set(fam: CharacterFamily, expected) -> None:
-    if fam.members.keys() != expected:
-        raise ValueError("index set is not exactly the dominant weights in bound")
-
-
 def validate_family(fam: CharacterFamily) -> None:
     """Check the structural invariants: complete downward-closed index
     set, unitriangularity, and support inside the saturated set."""
-    _require_index_set(fam, set(dominant_weights_up_to(fam.rank, fam.bound)))
+    _family_layout(fam)
     for lam, f in fam.members.items():
         if f.rank != fam.rank:
             raise ValueError(f"member {lam} has wrong rank")
@@ -192,15 +188,9 @@ def lr_table(l: int, bound: int, cache_dir: str | None = None) -> dict:
     """Full table {(mu, nu, lam): value} of Littlewood-Richardson
     coefficients for all nonzero dominant pairs whose sum stays in
     bound, zeros included (so absence genuinely means missing)."""
-    weights = [
-        w for w in dominant_weights_up_to(l, bound) if any(fundamental_coords(w))
-    ]
     entries: dict[tuple[Eps, Eps, Eps], int] = {}
-    for mu in weights:
-        for nu in weights:
-            lam0 = add(mu, nu)
-            if height(lam0) > bound:
-                continue
+    for mu, nu, lam0 in _layout(l, bound).pairs:
+        if any(mu) and any(nu):  # the zero weight is the only all-zero key
             row = tensor_decompose(l, mu, nu, cache_dir)
             for s in saturated_dominants(lam0):
                 entries[(mu, nu, s)] = row.get(s, 0)
@@ -224,10 +214,7 @@ def extract_structure_constants(
     fam: CharacterFamily, mu: Eps, nu: Eps
 ) -> dict[Eps, int]:
     """Coefficients n^t of f_mu * f_nu = sum n^t f_t, over the full
-    saturated set of mu + nu (zeros included).
-
-    Computed top-down: the convolution coefficient at t minus the
-    already-known contributions of everything above t."""
+    saturated set of mu + nu (zeros included), by ring.expand."""
     lam0 = add(mu, nu)
     if lam0 not in fam.members:
         raise BoundExceeded(
@@ -241,16 +228,7 @@ def extract_structure_constants(
     except KeyError:
         prod = f * g
         fam.products[key] = (f, g, prod)
-    row: dict[Eps, int] = {}
-    above: list[tuple[int, dict]] = []  # (n^s, terms of f_s) for n^s != 0
-    for t in saturated_dominants(lam0):
-        val = prod.terms.get(t, 0)
-        for ns, terms in above:
-            val -= ns * terms.get(t, 0)
-        row[t] = val
-        if val:
-            above.append((val, fam.members[t].terms))
-    return row
+    return expand(prod, saturated_dominants(lam0), fam.members.__getitem__)
 
 
 def _recursion_step(
@@ -314,7 +292,8 @@ def _layout(l: int, bound: int) -> _Layout:
 
 def _family_layout(fam: CharacterFamily) -> _Layout:
     layout = _layout(fam.rank, fam.bound)
-    _require_index_set(fam, layout.sites.keys())
+    if fam.members.keys() != layout.sites.keys():
+        raise ValueError("index set is not exactly the dominant weights in bound")
     return layout
 
 

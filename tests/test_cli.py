@@ -247,8 +247,9 @@ def stdout_sha256(*args):
     return res.returncode, hashlib.sha256(res.stdout).hexdigest()
 
 
-# SHA-256 of the standard output, recorded at the seed commit: every change
-# since has kept these outputs byte-identical.
+# SHA-256 of the standard output, recorded at the seed commit (the two
+# table entries at commit 3d0c484, where they were first pinned): every
+# change since has kept these outputs byte-identical.
 OUTPUT_SHA256 = {
     "char --rank 2 --weight 2,2":
         "834097578c25b00cb68cc71e94f35847c64c932ea52119f96d1d4fc978dbf00e",
@@ -262,6 +263,10 @@ OUTPUT_SHA256 = {
         "53ea76d628ebf4547f15037c88f6db41ac651b52238ccf33f3e4d2492b09abdc",
     "tensor --rank 3 --mu 1,0,1 --nu 0,1,1":
         "fe834cd4a1225bf2770f46ab34d5411f3ee5b2477c35c1d7342506dbb20cbef7",
+    "table --rank 2 --bound 12":
+        "8e7e4ecbab7f35202c8e2963e25404f203c523358af1cb8cd8e872abca123ab9",
+    "table --rank 3 --bound 12":
+        "ae96561dc4e881790a270b5b5cafa98fd42699e4750a75007effd17b827ffe62",
 }
 
 # verify on the family that perturb --site SITE --delta 1 writes at A2/12

@@ -122,8 +122,8 @@ class TestDominance:
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_height_linearizes_the_order(self, l):
-        # decompose peels the key of largest height, which this makes
-        # maximal in dominance
+        # decompose eliminates in decreasing height, which this makes a
+        # valid elimination order
         doms = dominants_with_eps_sum(l, 6)
         for a in doms:
             for b in doms:

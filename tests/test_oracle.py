@@ -3,7 +3,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from charrig.lattice import (
     add,
@@ -12,6 +12,7 @@ from charrig.lattice import (
     from_fundamental,
     fundamental_weight,
     orbit_size,
+    processing_key,
     zero_weight,
 )
 from charrig.oracle import (
@@ -20,11 +21,35 @@ from charrig.oracle import (
     tensor_decompose,
     weyl_dim,
 )
-from charrig.ring import orbit_sum, zero
+from charrig.ring import CharElement, orbit_sum, zero
 
 
 def w(l, *coords):
     return from_fundamental(l, coords)
+
+
+def naive_decompose(f):
+    """The peel-off decomposition: subtract the character of the term of
+    largest processing key, which is maximal in dominance, until nothing
+    is left."""
+    out = {}
+    residue = f
+    while residue:
+        mu = max(residue.terms, key=processing_key)
+        c = residue.terms[mu]
+        out[mu] = c
+        residue = residue - c * freudenthal_character(f.rank, mu)
+    return out
+
+
+def invariant_elements(l):
+    """Integer combinations of a few orbit sums of small weights at A_l."""
+    return st.dictionaries(
+        st.sampled_from(dominant_weights_up_to(l, max(18, 6 * l))),
+        st.integers(-3, 3).filter(bool),
+        min_size=1,
+        max_size=3,
+    ).map(lambda d: CharElement(l, d))
 
 
 class TestFreudenthal:
@@ -100,6 +125,11 @@ class TestDecompose:
             ).map(lambda d: (l, d))
         )
     )
+    # highest weights in one root-lattice class that are incomparable in
+    # dominance: their saturated sets interleave in processing order
+    @example((2, {(3, 0): 1, (0, 3): 1}))
+    @example((2, {(3, 0): 2, (0, 3): -1, (1, 1): 3}))
+    @example((3, {(2, 0, 0): 1, (0, 0, 2): -2}))
     def test_recovers_integer_combinations(self, case):
         l, coeffs = case
         combo = {from_fundamental(l, fc): c for fc, c in coeffs.items()}
@@ -107,6 +137,30 @@ class TestDecompose:
         for lam, c in combo.items():
             f = f + c * freudenthal_character(l, lam)
         assert decompose(f) == combo
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda l: st.tuples(
+                invariant_elements(l), invariant_elements(l), invariant_elements(l)
+            )
+        )
+    )
+    @example(
+        (
+            CharElement(2, {w(2, 3, 0): 1, w(2, 1, 1): -1}),
+            CharElement(2, {w(2, 0, 3): 2, w(2, 0, 0): 1}),
+            CharElement(2, {w(2, 3, 0): 1, w(2, 0, 3): 1}),
+        )
+    )
+    def test_matches_peel_off(self, elems):
+        x, y, z = elems
+        # z's terms serve as the coefficients of a combination of characters
+        combo = zero(x.rank)
+        for lam, c in z.terms.items():
+            combo = combo + c * freudenthal_character(x.rank, lam)
+        for f in (x * y, combo):
+            assert decompose(f) == naive_decompose(f)
 
 
 class TestTensorDecompose:
