@@ -128,23 +128,6 @@ def cmd_tensor(args) -> int:
     return 0
 
 
-def _family_diff(fam, cache_dir):
-    """Memberwise diff against the true characters."""
-    diff = []
-    for lam in fam.index_set():
-        truth = oracle.freudenthal_character(fam.rank, lam, cache_dir)
-        found = fam.members[lam]
-        if found != truth:
-            diff.append(
-                {
-                    "lambda": serialize.weight_doc(lam),
-                    "expected": serialize.terms_doc(truth),
-                    "found": serialize.terms_doc(found),
-                }
-            )
-    return diff
-
-
 def cmd_reconstruct(args) -> int:
     cache = _cache_dir(args)
     if args.oracle == "lr":
@@ -168,7 +151,16 @@ def cmd_reconstruct(args) -> int:
             "oracle incomplete: missing entry for "
             f"({_coords_str(mu)}; {_coords_str(nu)}; {_coords_str(s)})",
         ) from None
-    diff = _family_diff(fam, cache)
+    truth = rigidity.true_family(args.rank, args.bound, cache).members
+    diff = [
+        {
+            "lambda": serialize.weight_doc(lam),
+            "expected": serialize.terms_doc(truth[lam]),
+            "found": serialize.terms_doc(fam.members[lam]),
+        }
+        for lam in fam.index_set()
+        if fam.members[lam] != truth[lam]
+    ]
     if args.out:
         _write_file(args.out, serialize.dump_doc(serialize.family_to_doc(fam)))
     doc = {

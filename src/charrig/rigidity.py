@@ -20,12 +20,17 @@ result is identical with it cold, warm or absent.
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, never on the members.  _layout
 computes that layout once per (rank, bound) and keeps it for the life of
-the process, as lattice keeps each saturated set; both checks and
-validate_family refuse a family whose index set is not the layout's, and
-lr_table walks the layout's pairs.  Like the product memo, the
+the process, as lattice keeps each saturated set; both checks refuse a
+family whose index set is not the layout's.  Like the product memo, the
 layout changes only the speed: every result is identical with it cold or
-warm.  The support check skips a member that is the freudenthal_character
-object of its weight, as every member shared with true_family is.
+warm.
+
+true_family is the one reference: the family of true characters, indexed
+by the layout.  The support check compares two families, a candidate and
+that reference, and skips a member that is the reference's own object, as
+every member a perturbation shares with it is.  verify_family fetches each
+true character once, for the support check and the memberwise comparison
+alike, and lr_table is the reference's own structure constants.
 """
 
 import functools
@@ -48,6 +53,7 @@ from .lattice import (
     root_coordinates,
     saturated_dominants,
     support_size,
+    zero_weight,
 )
 from .oracle import freudenthal_character, tensor_decompose
 from .ring import CharElement, expand, orbit_sum, unit
@@ -89,10 +95,22 @@ class CharacterFamily:
 
 def validate_family(fam: CharacterFamily) -> None:
     """Check the structural invariants: complete downward-closed index
-    set, unitriangularity, and support inside the saturated set."""
-    _family_layout(fam)
-    for lam, f in fam.members.items():
-        if f.rank != fam.rank:
+    set, unitriangularity, and support inside the saturated set.
+
+    The index set is exactly the dominant weights in bound when it holds
+    0, stays in bound and holds every lam + omega_i in bound: height is
+    additive on dominant weights, so each of them is reached from 0 by
+    such steps.  This reads each member once, whatever the bound."""
+    l, members = fam.rank, fam.members
+    steps = [(w, height(w)) for w in (fundamental_weight(l, i) for i in range(1, l + 1))]
+    if zero_weight(l) not in members or any(
+        h > fam.bound
+        or any(h + hw <= fam.bound and add(lam, w) not in members for w, hw in steps)
+        for lam, h in zip(members, map(height, members))
+    ):
+        raise ValueError("index set is not exactly the dominant weights in bound")
+    for lam, f in members.items():
+        if f.rank != l:
             raise ValueError(f"member {lam} has wrong rank")
         if f.coefficient(lam) != 1:
             raise ValueError(f"member {lam} is not unitriangular")
@@ -102,11 +120,9 @@ def validate_family(fam: CharacterFamily) -> None:
 
 
 def true_family(l: int, bound: int, cache_dir: str | None = None) -> CharacterFamily:
-    """The family of genuine characters on the given bound."""
-    members = {
-        lam: freudenthal_character(l, lam, cache_dir)
-        for lam in dominant_weights_up_to(l, bound)
-    }
+    """The family of genuine characters on the given bound, indexed by
+    the layout: the reference every comparison with the truth reads."""
+    members = {lam: freudenthal_character(l, lam, cache_dir) for lam in _layout(l, bound).sites}
     return CharacterFamily(l, bound, members)
 
 
@@ -187,14 +203,15 @@ def lr_oracle(l: int, cache_dir: str | None = None):
 def lr_table(l: int, bound: int, cache_dir: str | None = None) -> dict:
     """Full table {(mu, nu, lam): value} of Littlewood-Richardson
     coefficients for all nonzero dominant pairs whose sum stays in
-    bound, zeros included (so absence genuinely means missing)."""
-    entries: dict[tuple[Eps, Eps, Eps], int] = {}
-    for mu, nu, lam0 in _layout(l, bound).pairs:
-        if any(mu) and any(nu):  # the zero weight is the only all-zero key
-            row = tensor_decompose(l, mu, nu, cache_dir)
-            for s in saturated_dominants(lam0):
-                entries[(mu, nu, s)] = row.get(s, 0)
-    return entries
+    bound, zeros included (so absence genuinely means missing): the
+    true family's structure constants over the layout's pairs."""
+    truth = true_family(l, bound, cache_dir)
+    return {
+        (mu, nu, s): n
+        for mu, nu, _ in _layout(l, bound).pairs
+        if any(mu) and any(nu)  # the zero weight is the only all-zero key
+        for s, n in extract_structure_constants(truth, mu, nu).items()
+    }
 
 
 def table_oracle(entries: dict):
@@ -297,23 +314,21 @@ def _family_layout(fam: CharacterFamily) -> _Layout:
     return layout
 
 
-def check_support_condition(
-    fam: CharacterFamily, cache_dir: str | None = None
-) -> list[tuple]:
-    """Compare family multiplicities against true multiplicities at
-    every site where lam - mu misses at least one simple root.
+def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> list[tuple]:
+    """Compare the multiplicities of fam against those of truth, the
+    true family on the same bound, at every site where lam - mu misses at
+    least one simple root.
 
     Returns (lam, mu, expected, found) violation tuples.  Raises
     ValueError when the index set is not the dominant weights in bound."""
     layout = _family_layout(fam)
     violations = []
     for lam, sites in layout.sites.items():
-        truth = freudenthal_character(fam.rank, lam, cache_dir)
-        f = fam.members[lam]
-        if f is truth:  # a member shared with the true family
+        f, t = fam.members[lam], truth.members[lam]
+        if f is t:  # a member shared with the true family
             continue
         for mu in sites:
-            expected = truth.coefficient(mu)
+            expected = t.coefficient(mu)
             found = f.coefficient(mu)
             if expected != found:
                 violations.append((lam, mu, expected, found))
@@ -380,11 +395,11 @@ def verify_family(
     fam: CharacterFamily, cache_dir: str | None = None
 ) -> ConditionReport:
     """Run both condition checks and compare the family memberwise
-    against the true characters."""
-    support_violations = check_support_condition(fam, cache_dir)
+    against the true characters, each fetched once."""
+    truth = true_family(fam.rank, fam.bound, cache_dir)
+    support_violations = check_support_condition(fam, truth)
     duality_violations, skipped = check_duality_condition(fam)
-    truths = (freudenthal_character(fam.rank, lam, cache_dir) for lam in fam.members)
-    equal = all(f is t or f == t for f, t in zip(fam.members.values(), truths))
+    equal = fam.members == truth.members
     return ConditionReport(support_violations, duality_violations, skipped, equal)
 
 

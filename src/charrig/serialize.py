@@ -5,6 +5,7 @@ coordinate arrays, entries sorted by the processing order, so that a
 load/dump round trip is byte-exact.
 """
 
+import functools
 import json
 
 from .lattice import Eps, from_fundamental, fundamental_coords, processing_key
@@ -85,14 +86,8 @@ def family_from_doc(doc) -> CharacterFamily:
 
 def table_to_doc(l: int, entries: dict) -> dict:
     rows = []
-    order = sorted(
-        entries.items(),
-        key=lambda kv: (
-            processing_key(kv[0][0]),
-            processing_key(kv[0][1]),
-            processing_key(kv[0][2]),
-        ),
-    )
+    key = functools.cache(processing_key)  # a table repeats few weights
+    order = sorted(entries.items(), key=lambda kv: tuple(map(key, kv[0])))
     for (mu, nu, lam), value in order:
         rows.append(
             {

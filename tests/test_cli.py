@@ -293,6 +293,32 @@ def test_verify_output_bytes_unchanged(tmp_path, site):
     assert stdout_sha256("verify", "--family", str(fam)) == (1, VERIFY_SHA256[site])
 
 
+def test_reconstruct_output_bytes_unchanged(tmp_path):
+    # stdout and --out file recorded at commit a0f9196
+    fam = tmp_path / "fam.json"
+    assert stdout_sha256("reconstruct", "--rank", "2", "--bound", "12", "--out", str(fam)) == (
+        0, "9938d5cf1b06c026b8286d7ea94dcf6124b52e5d277f8cf8c2db1b4bded8044f"
+    )
+    assert hashlib.sha256(fam.read_bytes()).hexdigest() == (
+        "5c14bccc9ad2a20f4c6f9fa17088549f1a750485e73d59c89f593bc6533b010a"
+    )
+
+
+def test_reconstruct_diff_bytes_unchanged(tmp_path):
+    # the A2/12 table with both n^{0,0} entries of (1,0) x (0,1) raised by
+    # 1; stdout recorded at commit a0f9196
+    table = tmp_path / "tab.json"
+    run("table", "--rank", "2", "--bound", "12", "--out", str(table))
+    doc = json.loads(table.read_text())
+    for e in doc["entries"]:
+        if sorted([e["mu"], e["nu"]]) == [[0, 1], [1, 0]] and e["lambda"] == [0, 0]:
+            e["value"] += 1
+    table.write_text(json.dumps(doc))
+    assert stdout_sha256(
+        "reconstruct", "--rank", "2", "--bound", "12", "--oracle", "file", "--table", str(table)
+    ) == (1, "78e43972f24032e4a8464ee3a08e21cd05711c4f35a74caff9cf831a9f54fec2")
+
+
 @pytest.mark.parametrize("module", ["lattice", "ring", "oracle", "rigidity", "serialize", "cli"])
 def test_module_imports_alone(module):
     res = subprocess.run([sys.executable, "-c", f"import charrig.{module}"])

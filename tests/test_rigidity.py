@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from charrig import rigidity
 from charrig.lattice import (
     add,
+    dominant_weights_up_to,
     dual_weight,
     from_fundamental,
     fundamental_coords,
@@ -218,6 +220,45 @@ class TestReconstruction:
         assert fam.members != fam10.members
 
 
+class TestLRTable:
+    @pytest.mark.parametrize("l,bound", [(2, 16), (3, 16)])
+    def test_matches_tensor_decompose(self, l, bound):
+        # the route lr_table took before it read the true family: one
+        # tensor_decompose per ordered pair of nonzero weights in bound
+        weights = dominant_weights_up_to(l, bound)
+        expected = {}
+        for mu, nu in itertools.product(weights, weights):
+            lam0 = add(mu, nu)
+            if any(mu) and any(nu) and height(lam0) <= bound:
+                row = tensor_decompose(l, mu, nu)
+                expected.update(((mu, nu, s), row.get(s, 0)) for s in saturated_dominants(lam0))
+        assert expected
+        assert lr_table(l, bound) == expected
+
+
+class TestValidate:
+    @pytest.mark.parametrize("l,bound", [(2, 16), (3, 14)])
+    def test_index_set_check_matches_enumeration(self, l, bound):
+        # index sets one step from the true one: a member removed, a weight
+        # of a larger bound added, or the bound moved
+        members = true_family(l, bound).members
+        cases = [(b, members) for b in range(bound - 6, bound + 7)]
+        cases += [(bound, {k: f for k, f in members.items() if k != lam}) for lam in members]
+        cases += [
+            (bound, {**members, lam: f})
+            for lam, f in true_family(l, bound + 10).members.items()
+            if lam not in members
+        ]
+        for b, index in cases:
+            exact = index.keys() == set(dominant_weights_up_to(l, b))
+            try:
+                validate_family(CharacterFamily(l, b, dict(index)))
+            except ValueError as exc:
+                assert not exact and "index set is not exactly" in str(exc)
+            else:
+                assert exact
+
+
 class TestMultiplicityFromProduct:
     def test_adjoint_zero_weight(self, fam12):
         row = extract_structure_constants(fam12, w(1, 0), w(0, 1))
@@ -259,17 +300,17 @@ class TestMultiplicityFromProduct:
 
 class TestSupportCondition:
     def test_true_family_clean(self, fam12):
-        assert check_support_condition(fam12) == []
+        assert check_support_condition(fam12, fam12) == []
 
     def test_small_support_site_flagged(self):
         fam = true_family(2, 14)
         bad = perturb_family(fam, w(2, 1), w(0, 2), 1)
-        violations = check_support_condition(bad)
+        violations = check_support_condition(bad, fam)
         assert (w(2, 1), w(0, 2), 1, 2) in violations
 
     def test_full_support_site_not_flagged(self, fam10):
         bad = perturb_family(fam10, w(1, 1), w(0, 0), 1)
-        assert check_support_condition(bad) == []
+        assert check_support_condition(bad, fam10) == []
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
     def test_matches_naive_check(self, l, bound):
@@ -281,8 +322,8 @@ class TestSupportCondition:
         assert any(naive_support(family) for family in families)
         for family in families:
             expected = naive_support(family)
-            assert check_support_condition(family) == expected
-            assert check_support_condition(fresh_copy(family)) == expected
+            assert check_support_condition(family, fam) == expected
+            assert check_support_condition(fresh_copy(family), fam) == expected
 
 
 class TestDualityCondition:
@@ -351,15 +392,29 @@ class TestProductMemo:
         assert repr(warm) == repr(cold)
 
 
+# both checks, each taking only the family: the support check reads the
+# true family on the same bound
+CHECKS = pytest.mark.parametrize(
+    "check",
+    [
+        pytest.param(
+            lambda fam: check_support_condition(fam, true_family(fam.rank, fam.bound)),
+            id="check_support_condition",
+        ),
+        check_duality_condition,
+    ],
+)
+
+
 class TestLayout:
-    @pytest.mark.parametrize("check", [check_support_condition, check_duality_condition])
+    @CHECKS
     def test_missing_member_refused(self, fam10, check):
         members = dict(fam10.members)
         del members[w(1, 1)]
         with pytest.raises(ValueError, match="index set is not exactly"):
             check(CharacterFamily(2, 10, members))
 
-    @pytest.mark.parametrize("check", [check_support_condition, check_duality_condition])
+    @CHECKS
     def test_extra_member_refused(self, fam10, check):
         members = dict(fam10.members)
         members[w(4, 0)] = freudenthal_character(2, w(4, 0))  # height 16
@@ -390,6 +445,18 @@ class TestVerify:
         report = verify_family(perturb_family(fam10, w(2, 0), w(0, 1), 1))
         assert not report.support_pass
         assert not report.members_equal
+
+    def test_fetches_each_true_character_once(self, monkeypatch):
+        fam = fresh_copy(true_family(2, 12))
+        calls = []
+
+        def fetch(*args):
+            calls.append(args)
+            return freudenthal_character(*args)
+
+        monkeypatch.setattr(rigidity, "freudenthal_character", fetch)
+        assert verify_family(fam).members_equal
+        assert len(calls) == len(fam.members)
 
 
 class TestPerturb:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from charrig import rigidity
 from charrig.lattice import from_fundamental
 from charrig.rigidity import perturb_family, true_family, lr_table
 from charrig.serialize import (
@@ -57,6 +58,19 @@ class TestFamilyFormat:
         entry = next(m for m in doc["members"] if m["lambda"] == [1, 1])
         entry["terms"][0]["coeff"] = 2
         with pytest.raises(FormatError):
+            family_from_doc(doc)
+
+    def test_far_bound_rejected_without_the_layout(self, monkeypatch):
+        # the index set is checked member by member, never by enumerating
+        # the dominant weights of the claimed bound
+        doc = family_to_doc(true_family(2, 12))
+        doc["bound"] = 10**6
+
+        def layout(l, bound):
+            raise AssertionError("the layout was built")
+
+        monkeypatch.setattr(rigidity, "_layout", layout)
+        with pytest.raises(FormatError, match="index set is not exactly"):
             family_from_doc(doc)
 
     def test_non_dominant_weight(self):
