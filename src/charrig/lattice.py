@@ -74,11 +74,13 @@ def add(a: Eps, b: Eps) -> Eps:
     return canonical(tuple(x + y for x, y in zip(a, b)))
 
 
-def orbit(d: Eps) -> set[Eps]:
+@functools.cache
+def orbit(d: Eps) -> frozenset[Eps]:
     """All distinct coordinate permutations (each still canonical)."""
-    return set(permutations(d))
+    return frozenset(permutations(d))
 
 
+@functools.cache
 def orbit_size(d: Eps) -> int:
     n = math.factorial(len(d))
     for c in Counter(d).values():
@@ -140,21 +142,17 @@ def support_size(beta) -> int:
     return sum(1 for k in beta if k)
 
 
-def saturated_dominants(la: Eps) -> list[Eps]:
-    """All dominant weights below la in dominance order, la first,
-    sorted by decreasing height (ties broken lexicographically).
-
-    la must be dominant and canonical.  The set is computed once per
-    weight; each call returns a fresh list.
-    """
-    return list(_saturated_dominants(tuple(la)))
-
-
 @functools.cache
-def _saturated_dominants(la: Eps) -> tuple[Eps, ...]:
-    """A dominant weight below la, aligned to la's coordinate sum, is a
-    partition of that sum into at most l+1 parts whose partial sums never
-    exceed la's, so we enumerate exactly those partitions."""
+def saturated_dominants(la: Eps) -> tuple[Eps, ...]:
+    """All dominant weights below la in dominance order, la first,
+    sorted by decreasing height (ties broken lexicographically), as one
+    tuple that every call shares.
+
+    la must be dominant and canonical.  A dominant weight below la,
+    aligned to la's coordinate sum, is a partition of that sum into at
+    most l+1 parts whose partial sums never exceed la's, so we enumerate
+    exactly those partitions.
+    """
     n = len(la)
     total = sum(la)
     la_partials = []
@@ -181,6 +179,7 @@ def _saturated_dominants(la: Eps) -> tuple[Eps, ...]:
     return tuple(out)
 
 
+@functools.cache
 def dual_weight(d: Eps) -> Eps:
     """Highest weight of the dual module: -w0 acting on a dominant weight,
     i.e. fundamental coordinates reversed.  An involution."""
@@ -227,6 +226,7 @@ def height(eps: Eps) -> int:
     return 2 * pairing(eps, rho(l))
 
 
+@functools.cache
 def processing_key(eps: Eps):
     """Total order used for deterministic iteration: height, then lex."""
     return (height(eps), eps)

@@ -9,7 +9,8 @@ ring.expand that rigidity.extract_structure_constants runs on a family.
 Characters are memoized per (rank, weight); an optional directory adds a
 persistent JSON spill of the same tables, each file written atomically
 (to a temporary name, then renamed).  A cache file that does not
-parse, whose keys are not exactly the saturated dominants, or whose
+parse, holds a non-integer value (a bool counts as one) or a repeated
+weight, whose keys are not exactly the saturated dominants, or whose
 leading coefficient is not 1 is discarded and recomputed; a changed
 lower multiplicity is not detected.
 """
@@ -52,8 +53,11 @@ def _load_cached(cache_dir: str, l: int, lam: Eps) -> CharElement | None:
             doc = json.load(fh)
         terms = {}
         for row in doc["terms"]:
-            mu = from_fundamental(l, [int(c) for c in row["mu"]])
-            terms[mu] = int(row["coeff"])
+            mu = from_fundamental(l, row["mu"])
+            # type(True) is bool, so only JSON integers pass
+            if mu in terms or any(type(x) is not int for x in [*row["mu"], row["coeff"]]):
+                return None
+            terms[mu] = row["coeff"]
         elem = CharElement(l, terms)
     except (OSError, ValueError, KeyError, TypeError):
         return None

@@ -18,12 +18,12 @@ of the old one is read for it.  The memo changes only the speed: every
 result is identical with it cold, warm or absent.
 
 Which pairs, triples and small-support sites the two checks read depends
-only on the rank and the height bound, never on the members.  _layout
-computes that layout once per (rank, bound) and keeps it for the life of
-the process, as lattice keeps each saturated set; both checks refuse a
-family whose index set is not the layout's.  Like the product memo, the
-layout changes only the speed: every result is identical with it cold or
-warm.
+only on the rank and the height bound, never on the members.  _Layout
+holds the pairs and the sites; _layout computes it once per (rank, bound)
+and keeps it for the life of the process, as lattice keeps each weight's
+saturated set and dual.  Both checks refuse a family whose index set is
+not the layout's.  Like the product memo, the layout changes only the
+speed: every result is identical with it cold or warm.
 
 true_family is the one reference: the family of true characters, indexed
 by the layout.  The support check compares two families, a candidate and
@@ -276,7 +276,6 @@ class _Layout(NamedTuple):
     none of it the members themselves."""
 
     pairs: tuple[tuple[Eps, Eps, Eps], ...]  # (a, b, a + b), a + b in bound
-    duals: dict[Eps, Eps]  # b: b*
     # lam: the mu in its saturated set where lam - mu misses a simple
     # root, keyed by the index set in index_set() order
     sites: dict[Eps, tuple[Eps, ...]]
@@ -295,7 +294,6 @@ def _layout(l: int, bound: int) -> _Layout:
             if lam0 not in inside:
                 break
             pairs.append((a, b, lam0))
-    duals = {b: dual_weight(b) for b in index}
     sites = {
         lam: tuple(
             mu
@@ -304,7 +302,7 @@ def _layout(l: int, bound: int) -> _Layout:
         )
         for lam in index
     }
-    return _Layout(tuple(pairs), duals, sites)
+    return _Layout(tuple(pairs), sites)
 
 
 def _family_layout(fam: CharacterFamily) -> _Layout:
@@ -357,7 +355,7 @@ def check_duality_condition(
             rows[a, b] = extract_structure_constants(fam, a, b)
     for mu, nu, lam0 in layout.pairs:
         row = rows[mu, nu]
-        nw = layout.duals[nu]
+        nw = dual_weight(nu)
         for lam in saturated_dominants(lam0):
             dual_row = rows.get((lam, nw))
             if dual_row is None:

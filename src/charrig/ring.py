@@ -84,25 +84,19 @@ class CharElement:
         if not isinstance(other, CharElement):
             return NotImplemented
         self._require_same_rank(other)
-        sizes = {key: orbit_size(key) for key in (*self.terms, *other.terms)}
-        orbits: dict[Eps, list[Eps]] = {}
         out: dict[Eps, int] = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
                 # fix the key with the larger orbit, walk the other one
-                fixed, walked = (mu, nu) if sizes[mu] >= sizes[nu] else (nu, mu)
-                if walked not in orbits:
-                    orbits[walked] = list(orbit(walked))
+                fixed, walked = (mu, nu) if orbit_size(mu) >= orbit_size(nu) else (nu, mu)
                 hits: dict[Eps, int] = {}
-                for y in orbits[walked]:
+                for y in orbit(walked):
                     z = tuple(sorted(map(operator.add, fixed, y), reverse=True))
                     hits[z] = hits.get(z, 0) + 1
                 ab = a * b
                 for z, n in hits.items():
                     z = canonical(z)  # every z has the same sum: shift after counting
-                    if z not in sizes:
-                        sizes[z] = orbit_size(z)
-                    c, rem = divmod(sizes[fixed] * n, sizes[z])
+                    c, rem = divmod(orbit_size(fixed) * n, orbit_size(z))
                     if rem:
                         raise ArithmeticError("orbit-reduced product must divide exactly")
                     out[z] = out.get(z, 0) + ab * c

@@ -5,7 +5,6 @@ coordinate arrays, entries sorted by the processing order, so that a
 load/dump round trip is byte-exact.
 """
 
-import functools
 import json
 
 from .lattice import Eps, from_fundamental, fundamental_coords, processing_key
@@ -70,6 +69,8 @@ def family_from_doc(doc) -> CharacterFamily:
                 coeff = td["coeff"]
                 if not isinstance(coeff, int) or isinstance(coeff, bool):
                     raise FormatError(f"bad coefficient {coeff!r}")
+                if mu in terms:
+                    raise FormatError(f"duplicate term {td['mu']} in member {md['lambda']}")
                 terms[mu] = coeff
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed member: {exc}") from None
@@ -86,8 +87,7 @@ def family_from_doc(doc) -> CharacterFamily:
 
 def table_to_doc(l: int, entries: dict) -> dict:
     rows = []
-    key = functools.cache(processing_key)  # a table repeats few weights
-    order = sorted(entries.items(), key=lambda kv: tuple(map(key, kv[0])))
+    order = sorted(entries.items(), key=lambda kv: tuple(map(processing_key, kv[0])))
     for (mu, nu, lam), value in order:
         rows.append(
             {
@@ -121,5 +121,7 @@ def table_from_doc(doc) -> tuple[int, dict]:
             raise FormatError(f"malformed entry: {exc}") from None
         if not isinstance(value, int) or isinstance(value, bool):
             raise FormatError(f"bad value {value!r}")
+        if (mu, nu, lam) in entries:
+            raise FormatError(f"duplicate entry {row['mu']}, {row['nu']}, {row['lambda']}")
         entries[(mu, nu, lam)] = value
     return l, entries

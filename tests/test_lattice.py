@@ -149,13 +149,13 @@ class TestRootCoordinates:
 
 class TestSaturatedDominants:
     def test_examples(self):
-        assert saturated_dominants(w(2, 1, 1)) == [(2, 1, 0), (0, 0, 0)]
-        assert saturated_dominants(w(2, 1, 0)) == [(1, 0, 0)]
-        assert saturated_dominants(w(2, 2, 1)) == [
+        assert saturated_dominants(w(2, 1, 1)) == ((2, 1, 0), (0, 0, 0))
+        assert saturated_dominants(w(2, 1, 0)) == ((1, 0, 0),)
+        assert saturated_dominants(w(2, 2, 1)) == (
             w(2, 2, 1),
             w(2, 0, 2),
             w(2, 1, 0),
-        ]
+        )
 
     @given(small_dominant)
     def test_all_below_and_leader_first(self, d):
@@ -166,16 +166,15 @@ class TestSaturatedDominants:
         keys = [processing_key(mu) for mu in sat]
         assert keys == sorted(keys, reverse=True)
 
-    def test_returned_list_is_a_copy(self):
+    def test_memoized_results_are_shared_and_immutable(self):
         la = w(2, 2, 2)
-        expected = [w(2, 2, 2), w(2, 0, 3), w(2, 3, 0), w(2, 1, 1), w(2, 0, 0)]
+        expected = (w(2, 2, 2), w(2, 0, 3), w(2, 3, 0), w(2, 1, 1), w(2, 0, 0))
         first = saturated_dominants(la)
-        assert first == expected
-        first.append(w(2, 9, 9))
-        assert saturated_dominants(la) == expected
-        second = saturated_dominants(la)
-        second.clear()
-        assert saturated_dominants(la) == expected
+        assert type(first) is tuple and first == expected
+        assert saturated_dominants(la) is first
+        first_orbit = orbit(la)
+        assert type(first_orbit) is frozenset and len(first_orbit) == 6
+        assert orbit(la) is first_orbit
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_complete(self, l):

@@ -244,6 +244,34 @@ class TestDiskCache:
         oracle.clear_memo()
         assert freudenthal_character(2, lam, cache_dir=d) == good
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda terms: terms[0].update(coeff=1.5),
+            lambda terms: terms[0].update(coeff=True),
+            lambda terms: terms[1].update(mu=[str(c) for c in terms[1]["mu"]]),
+            lambda terms: terms.append(dict(terms[-1], coeff=terms[-1]["coeff"] + 1)),
+        ],
+        ids=["float-coeff", "bool-coeff", "string-mu", "repeated-mu"],
+    )
+    def test_non_integer_or_repeated_entry_rejected(self, tmp_path, tamper):
+        # a rejected file is recomputed and written back, so its bytes
+        # show the rejection even where the coerced values were right
+        from charrig import oracle
+
+        lam = w(2, 2, 2)
+        d = str(tmp_path)
+        oracle.clear_memo()
+        good = freudenthal_character(2, lam, cache_dir=d)
+        (path,) = list(tmp_path.iterdir())
+        text = path.read_text()
+        doc = json.loads(text)
+        tamper(doc["terms"])
+        path.write_text(json.dumps(doc))
+        oracle.clear_memo()
+        assert freudenthal_character(2, lam, cache_dir=d) == good
+        assert path.read_text() == text
+
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         from charrig import oracle
 

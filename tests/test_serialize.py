@@ -73,6 +73,13 @@ class TestFamilyFormat:
         with pytest.raises(FormatError, match="index set is not exactly"):
             family_from_doc(doc)
 
+    def test_duplicate_term_rejected(self):
+        doc = family_to_doc(true_family(2, 10))
+        entry = next(m for m in doc["members"] if m["lambda"] == [1, 1])
+        entry["terms"].append(dict(entry["terms"][-1], coeff=entry["terms"][-1]["coeff"] + 3))
+        with pytest.raises(FormatError, match="duplicate term"):
+            family_from_doc(doc)
+
     def test_non_dominant_weight(self):
         doc = family_to_doc(true_family(2, 10))
         doc["members"][1]["lambda"] = [1, -1]
@@ -97,6 +104,12 @@ class TestTableFormat:
         doc = table_to_doc(2, lr_table(2, 10))
         doc["entries"][0]["value"] = "1"
         with pytest.raises(FormatError):
+            table_from_doc(doc)
+
+    def test_duplicate_entry_rejected(self):
+        doc = table_to_doc(2, lr_table(2, 12))
+        doc["entries"].append(dict(doc["entries"][0], value=doc["entries"][0]["value"] + 3))
+        with pytest.raises(FormatError, match="duplicate entry"):
             table_from_doc(doc)
 
     def test_missing_entries(self):
