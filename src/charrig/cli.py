@@ -131,6 +131,8 @@ def cmd_tensor(args) -> int:
 def cmd_reconstruct(args) -> int:
     cache = _cache_dir(args)
     if args.oracle == "lr":
+        if args.table is not None:
+            raise CLIError(2, "--table requires --oracle file")
         query = rigidity.lr_oracle(args.rank, cache)
     else:
         if not args.table:

@@ -8,11 +8,11 @@ ring.expand that rigidity.extract_structure_constants runs on a family.
 
 Characters are memoized per (rank, weight); an optional directory adds a
 persistent JSON spill of the same tables, each file written atomically
-(to a temporary name, then renamed).  A cache file that does not
-parse, holds a non-integer value (a bool counts as one) or a repeated
-weight, whose keys are not exactly the saturated dominants, or whose
-leading coefficient is not 1 is discarded and recomputed; a changed
-lower multiplicity is not detected.
+(to a temporary name, then renamed).  A cache file must list the
+saturated dominants of its weight in processing order, with positive
+JSON integer multiplicities, 1 first; any other file is discarded and
+recomputed.  A lower multiplicity changed to another positive integer
+is not detected.
 """
 
 import contextlib
@@ -23,7 +23,6 @@ from .lattice import (
     Eps,
     canonical,
     dominant_representative,
-    from_fundamental,
     fundamental_coords,
     is_dominant,
     pairing,
@@ -50,22 +49,23 @@ def _load_cached(cache_dir: str, l: int, lam: Eps) -> CharElement | None:
     path = _cache_path(cache_dir, l, lam)
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        terms = {}
-        for row in doc["terms"]:
-            mu = from_fundamental(l, row["mu"])
-            # type(True) is bool, so only JSON integers pass
-            if mu in terms or any(type(x) is not int for x in [*row["mu"], row["coeff"]]):
-                return None
-            terms[mu] = row["coeff"]
-        elem = CharElement(l, terms)
+            rows = json.load(fh)["terms"]
+        coords = [row["mu"] for row in rows]
+        mults = [row["coeff"] for row in rows]
     except (OSError, ValueError, KeyError, TypeError):
         return None
-    # sanity: a character table has exactly the saturated dominants as keys
-    # with unit leading coefficient
-    if set(elem.terms) != set(saturated_dominants(lam)) or elem.terms.get(lam) != 1:
+    # a true character is its multiplicities over the saturated set, so a
+    # file can validly list only that set, in processing order; the types
+    # are tested too, since [True, 0] == [1.0, 0] == [1, 0].  The set is
+    # enumerated only once a file has been read.
+    doms = saturated_dominants(lam)
+    if coords != [list(fundamental_coords(mu)) for mu in doms] or any(
+        type(x) is not int for x in [*(c for mu in coords for c in mu), *mults]
+    ):
         return None
-    return elem
+    if mults[0] != 1 or min(mults) < 1:
+        return None
+    return CharElement(l, dict(zip(doms, mults)))
 
 
 def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:

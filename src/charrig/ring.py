@@ -53,10 +53,6 @@ class CharElement:
         """Coefficient of e(x): the h-coefficient at x's dominant representative."""
         return self.terms.get(dominant_representative(x), 0)
 
-    def dimension(self) -> int:
-        """Total number of e-basis terms counted with multiplicity."""
-        return sum(c * orbit_size(mu) for mu, c in self.terms.items())
-
     def _require_same_rank(self, other: "CharElement") -> None:
         if self.rank != other.rank:
             raise ValueError("rank mismatch")

@@ -21,9 +21,8 @@ def weight_doc(eps: Eps) -> list[int]:
 
 
 def parse_weight(l: int, arr) -> Eps:
-    if not isinstance(arr, list) or len(arr) != l or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in arr
-    ):
+    # type(True) is bool, so only JSON integers pass
+    if not isinstance(arr, list) or len(arr) != l or any(type(c) is not int for c in arr):
         raise FormatError(f"bad weight {arr!r} for rank {l}")
     if any(c < 0 for c in arr):
         raise FormatError(f"weight {arr!r} is not dominant")
@@ -53,9 +52,9 @@ def family_from_doc(doc) -> CharacterFamily:
         member_docs = doc["members"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"missing field: {exc}") from None
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:
         raise FormatError(f"bad rank {l!r}")
-    if not isinstance(bound, int) or bound < 0:
+    if type(bound) is not int or bound < 0:
         raise FormatError(f"bad bound {bound!r}")
     if not isinstance(member_docs, list):
         raise FormatError("members must be a list")
@@ -67,7 +66,7 @@ def family_from_doc(doc) -> CharacterFamily:
             for td in md["terms"]:
                 mu = parse_weight(l, td["mu"])
                 coeff = td["coeff"]
-                if not isinstance(coeff, int) or isinstance(coeff, bool):
+                if type(coeff) is not int:
                     raise FormatError(f"bad coefficient {coeff!r}")
                 if mu in terms:
                     raise FormatError(f"duplicate term {td['mu']} in member {md['lambda']}")
@@ -106,7 +105,7 @@ def table_from_doc(doc) -> tuple[int, dict]:
         rows = doc["entries"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"missing field: {exc}") from None
-    if not isinstance(l, int) or l < 1:
+    if type(l) is not int or l < 1:
         raise FormatError(f"bad rank {l!r}")
     if not isinstance(rows, list):
         raise FormatError("entries must be a list")
@@ -119,7 +118,7 @@ def table_from_doc(doc) -> tuple[int, dict]:
             value = row["value"]
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed entry: {exc}") from None
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise FormatError(f"bad value {value!r}")
         if (mu, nu, lam) in entries:
             raise FormatError(f"duplicate entry {row['mu']}, {row['nu']}, {row['lambda']}")

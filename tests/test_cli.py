@@ -123,6 +123,15 @@ class TestReconstruct:
         assert len(res.stderr.splitlines()) == 1
         assert res.stdout == ""
 
+    def test_table_without_file_oracle_exit_2(self, tmp_path):
+        res = run(
+            "reconstruct", "--rank", "2", "--bound", "6",
+            "--table", str(tmp_path / "absent.json"),
+        )
+        assert res.returncode == 2
+        assert res.stderr == "charrig: --table requires --oracle file\n"
+        assert res.stdout == ""
+
     def test_incomplete_table_exit_3(self, tmp_path):
         table = tmp_path / "tab.json"
         run("table", "--rank", "2", "--bound", "6", "--out", str(table))

@@ -204,6 +204,26 @@ class TestLRIdentities:
                 assert dual_row.get(mu, 0) == c
 
 
+def assert_rejected_and_rewritten(tmp_path, tamper):
+    """A cache file edited by tamper is discarded: the character is
+    recomputed and written back, so the file's bytes show the rejection
+    even where the coerced values were right."""
+    from charrig import oracle
+
+    lam = w(2, 2, 2)
+    d = str(tmp_path)
+    oracle.clear_memo()
+    good = freudenthal_character(2, lam, cache_dir=d)
+    (path,) = list(tmp_path.iterdir())
+    text = path.read_text()
+    doc = json.loads(text)
+    tamper(doc["terms"])
+    path.write_text(json.dumps(doc))
+    oracle.clear_memo()
+    assert freudenthal_character(2, lam, cache_dir=d) == good
+    assert path.read_text() == text
+
+
 class TestDiskCache:
     def test_cold_and_warm_agree(self, tmp_path):
         from charrig import oracle
@@ -255,22 +275,19 @@ class TestDiskCache:
         ids=["float-coeff", "bool-coeff", "string-mu", "repeated-mu"],
     )
     def test_non_integer_or_repeated_entry_rejected(self, tmp_path, tamper):
-        # a rejected file is recomputed and written back, so its bytes
-        # show the rejection even where the coerced values were right
-        from charrig import oracle
+        assert_rejected_and_rewritten(tmp_path, tamper)
 
-        lam = w(2, 2, 2)
-        d = str(tmp_path)
-        oracle.clear_memo()
-        good = freudenthal_character(2, lam, cache_dir=d)
-        (path,) = list(tmp_path.iterdir())
-        text = path.read_text()
-        doc = json.loads(text)
-        tamper(doc["terms"])
-        path.write_text(json.dumps(doc))
-        oracle.clear_memo()
-        assert freudenthal_character(2, lam, cache_dir=d) == good
-        assert path.read_text() == text
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda terms: terms.reverse(),
+            lambda terms: terms[-1].update(coeff=-1),
+            lambda terms: terms[-1].update(coeff=0),
+        ],
+        ids=["reversed-rows", "negative-lower", "zero-lower"],
+    )
+    def test_misordered_or_nonpositive_entry_rejected(self, tmp_path, tamper):
+        assert_rejected_and_rewritten(tmp_path, tamper)
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         from charrig import oracle

@@ -40,6 +40,18 @@ class TestFamilyFormat:
         with pytest.raises(FormatError):
             family_from_doc({"rank": 0, "bound": 4, "members": []})
 
+    def test_bool_rank_rejected(self):
+        doc = family_to_doc(true_family(1, 4))
+        doc["rank"] = True  # equal to 1, but not a JSON integer
+        with pytest.raises(FormatError, match="bad rank"):
+            family_from_doc(doc)
+
+    def test_bool_bound_rejected(self):
+        doc = family_to_doc(true_family(1, 1))
+        doc["bound"] = True
+        with pytest.raises(FormatError, match="bad bound"):
+            family_from_doc(doc)
+
     def test_incomplete_index_set(self):
         doc = family_to_doc(true_family(2, 10))
         doc["members"] = doc["members"][:-1]
@@ -110,6 +122,12 @@ class TestTableFormat:
         doc = table_to_doc(2, lr_table(2, 12))
         doc["entries"].append(dict(doc["entries"][0], value=doc["entries"][0]["value"] + 3))
         with pytest.raises(FormatError, match="duplicate entry"):
+            table_from_doc(doc)
+
+    def test_bool_rank_rejected(self):
+        doc = table_to_doc(1, lr_table(1, 4))
+        doc["rank"] = True
+        with pytest.raises(FormatError, match="bad rank"):
             table_from_doc(doc)
 
     def test_missing_entries(self):
