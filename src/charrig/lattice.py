@@ -191,18 +191,6 @@ def rho(l: int) -> Eps:
     return tuple(range(l, -1, -1))
 
 
-def positive_roots(l: int) -> list[Eps]:
-    """The l(l+1)/2 vectors e_i - e_j for i < j."""
-    out = []
-    for i in range(l + 1):
-        for j in range(i + 1, l + 1):
-            v = [0] * (l + 1)
-            v[i] = 1
-            v[j] = -1
-            out.append(tuple(v))
-    return out
-
-
 def pairing(x, y) -> int:
     """Plain integer dot product.
 

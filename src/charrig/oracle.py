@@ -2,7 +2,9 @@
 
 Weight multiplicities come from the Freudenthal recursion (exact integer
 divisions throughout, checked), cross-checkable against the Weyl
-dimension product formula.  Tensor product multiplicities are obtained
+dimension product formula.  The recursion walks the root strings
+e_i - e_j over index pairs i < j, on weights aligned to lam's coordinate
+sum, where sorting a weight gives its dominant point.  Tensor product multiplicities are obtained
 by unitriangular elimination in the character basis, the same
 ring.expand that rigidity.extract_structure_constants runs on a family.
 
@@ -18,15 +20,13 @@ is not detected.
 import contextlib
 import json
 import os
+from itertools import combinations
 
 from .lattice import (
     Eps,
     canonical,
-    dominant_representative,
     fundamental_coords,
     is_dominant,
-    pairing,
-    positive_roots,
     processing_key,
     rho,
     saturated_dominants,
@@ -95,6 +95,8 @@ def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
 def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> CharElement:
     """The formal character of the highest-weight module with highest
     weight lam, as {mu: multiplicity} over the saturated dominants."""
+    if len(lam) != l + 1:
+        raise ValueError(f"weight {lam} has wrong length for A_{l}")
     lam = canonical(lam)
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
@@ -108,37 +110,40 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
             return cached
 
     doms = saturated_dominants(lam)  # decreasing height, lam first
-    total_sum = sum(lam)
     n = l + 1
+    total_sum = sum(lam)
     rho_v = rho(l)
-    pos = positive_roots(l)
-    lam_rho = tuple(a + b for a, b in zip(lam, rho_v))
-    top_norm = pairing(lam_rho, lam_rho)
+
+    def norm(v: Eps) -> int:  # |v + rho|^2
+        return sum((a + r) ** 2 for a, r in zip(v, rho_v))
+
+    top_norm = norm(lam)
+    # keyed by points aligned to lam's coordinate sum; a root string keeps
+    # that sum, so a point sorted decreasingly is its dominant key
     mults: dict[Eps, int] = {lam: 1}
     for mu in doms[1:]:
         shift = (total_sum - sum(mu)) // n
         mu_al = tuple(x + shift for x in mu)
         acc = 0
-        for alpha in pos:
-            k = 1
+        for i, j in combinations(range(n), 2):  # the root e_i - e_j
+            x = list(mu_al)
             while True:
-                x = tuple(a + k * b for a, b in zip(mu_al, alpha))
+                x[i] += 1
+                x[j] -= 1
                 # x's dominant point lies above mu in dominance, so it comes
                 # before mu in doms: it is in the weight set iff mults has it
-                m = mults.get(dominant_representative(x))
+                m = mults.get(tuple(sorted(x, reverse=True)))
                 if m is None:
                     break  # the root string through mu leaves the weight set
-                acc += m * pairing(x, alpha)
-                k += 1
-        mu_rho = tuple(a + b for a, b in zip(mu_al, rho_v))
-        denom = top_norm - pairing(mu_rho, mu_rho)
+                acc += m * (x[i] - x[j])
+        denom = top_norm - norm(mu_al)
         if denom <= 0:
             raise ArithmeticError("norm gap must be positive below the highest weight")
         m, rem = divmod(2 * acc, denom)
         if rem:
             raise ArithmeticError("Freudenthal division must be exact")
-        mults[mu] = m
-    elem = CharElement(l, mults)
+        mults[mu_al] = m
+    elem = CharElement(l, dict(zip(doms, mults.values())))
     _MEMO[key] = elem
     if cache_dir:
         _store_cached(cache_dir, l, lam, elem)

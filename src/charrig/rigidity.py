@@ -405,7 +405,7 @@ def perturb_family(
     fam: CharacterFamily, lam: Eps, mu: Eps, delta: int
 ) -> CharacterFamily:
     """Copy of fam with the coefficient of h(mu) in f_lam shifted by delta."""
-    if not isinstance(delta, int) or delta == 0:
+    if type(delta) is not int or delta == 0:
         raise PerturbationError("delta must be a nonzero integer")
     if lam not in fam.members:
         raise PerturbationError(f"{lam} is not in the family")

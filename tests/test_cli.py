@@ -257,8 +257,9 @@ def stdout_sha256(*args):
 
 
 # SHA-256 of the standard output, recorded at the seed commit (the two
-# table entries at commit 3d0c484, where they were first pinned): every
-# change since has kept these outputs byte-identical.
+# table entries at commit 3d0c484 and the rank 5 and 8 characters at
+# 2430c46, where they were first pinned): every change since has kept
+# these outputs byte-identical.
 OUTPUT_SHA256 = {
     "char --rank 2 --weight 2,2":
         "834097578c25b00cb68cc71e94f35847c64c932ea52119f96d1d4fc978dbf00e",
@@ -268,6 +269,10 @@ OUTPUT_SHA256 = {
         "f0c0193a6264df4398227340033b4befeb6ce796a7d510cc024fcbf8ba7343de",
     "char --rank 3 --weight 1,1,1 --format tsv":
         "aa4ea1ddea680c95078f2d6d890451b778844eb1a6b67bac74c290597a8c8adf",
+    "char --rank 5 --weight 2,0,1,0,1":
+        "41087219697fb7a6398b733e90ca2f7c41d9698e8abc80651cc0c94db0aed4eb",
+    "char --rank 8 --weight 1,0,0,1,0,0,0,1":
+        "48ec80b2bceaedd7f7673341a2a77355d5d9fbed65e27eb216314e78e5ba8121",
     "tensor --rank 2 --mu 2,1 --nu 1,2":
         "53ea76d628ebf4547f15037c88f6db41ac651b52238ccf33f3e4d2492b09abdc",
     "tensor --rank 3 --mu 1,0,1 --nu 0,1,1":

@@ -19,7 +19,6 @@ from charrig.lattice import (
     orbit,
     orbit_size,
     pairing,
-    positive_roots,
     processing_key,
     rho,
     root_coordinates,
@@ -219,21 +218,15 @@ class TestRootData:
     def test_rho(self):
         assert rho(2) == (2, 1, 0)
 
-    def test_positive_roots(self):
-        roots = positive_roots(2)
-        assert len(roots) == 3
-        assert set(roots) == {(1, -1, 0), (1, 0, -1), (0, 1, -1)}
-
     def test_pairing(self):
         assert pairing((2, 1, 0), (1, -1, 0)) == 1
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_simple_roots_have_square_length_two(self, l):
-        for alpha in positive_roots(l):
-            if support_size(
-                root_coordinates(canonical(alpha), zero_weight(l))
-            ) == 1:
-                assert pairing(alpha, alpha) == 2
+        for i in range(l):
+            alpha = tuple((k == i) - (k == i + 1) for k in range(l + 1))  # e_i - e_{i+1}
+            assert support_size(root_coordinates(canonical(alpha), zero_weight(l))) == 1
+            assert pairing(alpha, alpha) == 2
 
     def test_pairing_length_mismatch(self):
         with pytest.raises(ValueError):

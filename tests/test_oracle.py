@@ -13,6 +13,7 @@ from charrig.lattice import (
     fundamental_weight,
     orbit_size,
     processing_key,
+    rho,
     zero_weight,
 )
 from charrig.oracle import (
@@ -71,9 +72,10 @@ class TestFreudenthal:
         with pytest.raises(ValueError):
             freudenthal_character(2, (0, 1, 0))
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            freudenthal_character(2, (1, 0))
+    @pytest.mark.parametrize("lam", [(1, 0), (2, 0), (1, 0, 0, 0)])
+    def test_rejects_wrong_length(self, lam):
+        with pytest.raises(ValueError, match="wrong length"):
+            freudenthal_character(2, lam)
 
 
 class TestWeylDim:
@@ -89,7 +91,7 @@ class TestWeylDim:
             weyl_dim(2, lam)
 
     @pytest.mark.parametrize(
-        "l,bound", [(2, 16), (3, 14)]
+        "l,bound", [(1, 40), (2, 16), (3, 14), (4, 24), (5, 30), (6, 36)]
     )
     def test_dimension_consistency(self, l, bound):
         for lam in dominant_weights_up_to(l, bound):
@@ -97,6 +99,21 @@ class TestWeylDim:
             assert sum(m * orbit_size(mu) for mu, m in ch.terms.items()) == weyl_dim(
                 l, lam
             )
+
+    @pytest.mark.parametrize("l,bound", [(1, 40), (2, 40), (3, 40), (4, 40), (5, 40), (6, 42)])
+    def test_second_moment(self, l, bound):
+        # (l+2) sum m_mu |W mu| q(mu) = dim(lam) p(lam, lam + 2 rho): unlike
+        # the dimension, it weighs each multiplicity by its distance from 0
+        n = l + 1
+
+        def p(a, b):
+            return n * sum(x * y for x, y in zip(a, b)) - sum(a) * sum(b)
+
+        for lam in dominant_weights_up_to(l, bound):
+            ch = freudenthal_character(l, lam)
+            lhs = (l + 2) * sum(m * orbit_size(mu) * p(mu, mu) for mu, m in ch.terms.items())
+            lam_2rho = tuple(x + 2 * r for x, r in zip(lam, rho(l)))
+            assert lhs == weyl_dim(l, lam) * p(lam, lam_2rho)
 
 
 class TestDecompose:

@@ -478,6 +478,11 @@ class TestPerturb:
         with pytest.raises(PerturbationError):
             perturb_family(fam10, w(1, 1), w(0, 0), 0)
 
+    def test_bool_delta(self, fam10):
+        # True == 1 and isinstance(True, int), so only the type test rejects it
+        with pytest.raises(PerturbationError):
+            perturb_family(fam10, w(1, 1), w(0, 0), True)
+
     def test_sites(self, fam10):
         sites = perturbation_sites(fam10)
         assert (w(1, 1), w(0, 0)) in sites
