@@ -146,7 +146,7 @@ def support_size(beta) -> int:
 def saturated_dominants(la: Eps) -> tuple[Eps, ...]:
     """All dominant weights below la in dominance order, la first,
     sorted by decreasing height (ties broken lexicographically), as one
-    tuple that every call shares.
+    tuple that every call shares, holding one object per distinct weight.
 
     la must be dominant and canonical.  A dominant weight below la,
     aligned to la's coordinate sum, is a partition of that sum into at
@@ -175,8 +175,9 @@ def saturated_dominants(la: Eps) -> tuple[Eps, ...]:
             rec(parts + [p], acc + p)
 
     rec([], 0)
-    out.sort(key=processing_key, reverse=True)
-    return tuple(out)
+    # each weight is taken from its processing_key, so equal weights of
+    # different saturated sets, or of dominant_weights_up_to, are one object
+    return tuple(key[1] for key in sorted(map(processing_key, out), reverse=True))
 
 
 @functools.cache
@@ -222,7 +223,7 @@ def processing_key(eps: Eps):
 
 def dominant_weights_up_to(l: int, bound: int) -> list[Eps]:
     """All dominant weights with height <= bound, in increasing
-    processing order."""
+    processing order, each the object saturated_dominants holds for it."""
     fw_heights = [height(fundamental_weight(l, i)) for i in range(1, l + 1)]
     out: list[Eps] = []
 
@@ -236,5 +237,4 @@ def dominant_weights_up_to(l: int, bound: int) -> list[Eps]:
             c += 1
 
     rec(0, [], 0)
-    out.sort(key=processing_key)
-    return out
+    return [key[1] for key in sorted(map(processing_key, out))]

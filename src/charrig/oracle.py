@@ -4,9 +4,14 @@ Weight multiplicities come from the Freudenthal recursion (exact integer
 divisions throughout, checked), cross-checkable against the Weyl
 dimension product formula.  The recursion walks the root strings
 e_i - e_j over index pairs i < j, on weights aligned to lam's coordinate
-sum, where sorting a weight gives its dominant point.  Tensor product multiplicities are obtained
-by unitriangular elimination in the character basis, the same
-ring.expand that rigidity.extract_structure_constants runs on a family.
+sum, where sorting a weight gives its dominant point.  Tensor product
+multiplicities come from the Brauer-Klimyk formula: each weight of the
+factor with fewer weights is added to the other's highest weight plus
+rho and sorted into the dominant chamber, counted with the sign of the
+sort, so no product is formed and no constituent's character is read.
+decompose writes any invariant element in the character basis by
+unitriangular elimination, the same ring.expand that
+rigidity.extract_structure_constants runs on a family.
 
 Characters are memoized per (rank, weight); an optional directory adds a
 persistent JSON spill of the same tables, each file written atomically
@@ -27,6 +32,8 @@ from .lattice import (
     canonical,
     fundamental_coords,
     is_dominant,
+    orbit,
+    orbit_size,
     processing_key,
     rho,
     saturated_dominants,
@@ -45,8 +52,10 @@ def _cache_path(cache_dir: str, l: int, lam: Eps) -> str:
     return os.path.join(cache_dir, name)
 
 
-def _load_cached(cache_dir: str, l: int, lam: Eps) -> CharElement | None:
-    path = _cache_path(cache_dir, l, lam)
+def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement | None:
+    """The character of doms[0], whose saturated set is doms, read from
+    its cache file; None when the file is missing or invalid."""
+    path = _cache_path(cache_dir, l, doms[0])
     try:
         with open(path, encoding="utf-8") as fh:
             rows = json.load(fh)["terms"]
@@ -56,9 +65,7 @@ def _load_cached(cache_dir: str, l: int, lam: Eps) -> CharElement | None:
         return None
     # a true character is its multiplicities over the saturated set, so a
     # file can validly list only that set, in processing order; the types
-    # are tested too, since [True, 0] == [1.0, 0] == [1, 0].  The set is
-    # enumerated only once a file has been read.
-    doms = saturated_dominants(lam)
+    # are tested too, since [True, 0] == [1.0, 0] == [1, 0].
     if coords != [list(fundamental_coords(mu)) for mu in doms] or any(
         type(x) is not int for x in [*(c for mu in coords for c in mu), *mults]
     ):
@@ -103,13 +110,14 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
     key = (l, lam)
     if key in _MEMO:
         return _MEMO[key]
+    doms = saturated_dominants(lam)  # decreasing height, lam first
+    key = (l, doms[0])  # the lattice's one object for lam, as in the terms
     if cache_dir:
-        cached = _load_cached(cache_dir, l, lam)
+        cached = _load_cached(cache_dir, l, doms)
         if cached is not None:
             _MEMO[key] = cached
             return cached
 
-    doms = saturated_dominants(lam)  # decreasing height, lam first
     n = l + 1
     total_sum = sum(lam)
     rho_v = rho(l)
@@ -189,8 +197,29 @@ def tensor_decompose(
     l: int, mu: Eps, nu: Eps, cache_dir: str | None = None
 ) -> dict[Eps, int]:
     """Littlewood-Richardson multiplicities: how the product of the
-    characters of mu and nu splits into characters."""
-    prod = freudenthal_character(l, mu, cache_dir) * freudenthal_character(
-        l, nu, cache_dir
-    )
-    return decompose(prod, cache_dir)
+    characters of mu and nu splits into characters, the nonzero ones only.
+
+    By the Brauer-Klimyk formula, ch_a * ch_b is the sum over the weights
+    x of ch_a, with multiplicity, of sign(w) ch_{w(x + b + rho) - rho},
+    where w sorts x + b + rho into decreasing order and x is dropped when
+    two coordinates of x + b + rho are equal.  The weights are walked for
+    the factor with fewer of them, orbit by orbit; no product is formed
+    and no constituent's character is read."""
+    chars = [freudenthal_character(l, lam, cache_dir) for lam in (mu, nu)]
+    sizes = [sum(orbit_size(d) for d in ch.terms) for ch in chars]
+    walked, top = (chars[0], nu) if sizes[0] <= sizes[1] else (chars[1], mu)
+    n = l + 1
+    rho_v = rho(l)
+    shift = [a + r for a, r in zip(top, rho_v)]
+    out: dict[Eps, int] = {}
+    for d, m in walked.terms.items():
+        for x in orbit(d):
+            y = [a + b for a, b in zip(x, shift)]
+            if len(set(y)) < n:
+                continue  # y lies on a wall: it contributes nothing
+            minus = sum([a < b for a, b in combinations(y, 2)]) & 1  # sign of the sort
+            y.sort(reverse=True)
+            low = y[-1]  # y - rho decreases weakly, so its minimum is last
+            lam = tuple([a - r - low for a, r in zip(y, rho_v)])
+            out[lam] = out.get(lam, 0) + (-m if minus else m)
+    return {lam: c for lam, c in out.items() if c}

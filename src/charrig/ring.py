@@ -13,7 +13,6 @@ import operator
 
 from .lattice import (
     Eps,
-    canonical,
     dominant_representative,
     is_dominant,
     orbit,
@@ -91,7 +90,10 @@ class CharElement:
                     hits[z] = hits.get(z, 0) + 1
                 ab = a * b
                 for z, n in hits.items():
-                    z = canonical(z)  # every z has the same sum: shift after counting
+                    # every z has the same sum, so shift after counting; z
+                    # decreases, so its minimum is its last coordinate
+                    low = z[-1]
+                    z = tuple([x - low for x in z])
                     c, rem = divmod(orbit_size(fixed) * n, orbit_size(z))
                     if rem:
                         raise ArithmeticError("orbit-reduced product must divide exactly")

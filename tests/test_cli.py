@@ -277,6 +277,11 @@ OUTPUT_SHA256 = {
         "53ea76d628ebf4547f15037c88f6db41ac651b52238ccf33f3e4d2492b09abdc",
     "tensor --rank 3 --mu 1,0,1 --nu 0,1,1":
         "fe834cd4a1225bf2770f46ab34d5411f3ee5b2477c35c1d7342506dbb20cbef7",
+    # recorded at commit 29f1ddc, which formed the product and decomposed it
+    "tensor --rank 2 --mu 15,15 --nu 14,16":
+        "3d944f071d7fb25039332b31a0b0e53a406cf921a24206a0aac21c18e3be2540",
+    "tensor --rank 4 --mu 3,2,2,3 --nu 2,3,3,2":
+        "c89c03e4218c584358add00bab1c2cfb8e1613e8fd0be43e51abd331d264a6b4",
     "table --rank 2 --bound 12":
         "8e7e4ecbab7f35202c8e2963e25404f203c523358af1cb8cd8e872abca123ab9",
     "table --rank 3 --bound 12":

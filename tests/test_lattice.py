@@ -175,6 +175,18 @@ class TestSaturatedDominants:
         assert type(first_orbit) is frozenset and len(first_orbit) == 6
         assert orbit(la) is first_orbit
 
+    def test_equal_weights_are_one_object(self):
+        # the zero weight and the adjoint weight lie below both (2,2) and (3,0)
+        a = saturated_dominants(w(2, 2, 2))
+        b = saturated_dominants(w(2, 3, 0))
+        common = set(a) & set(b)
+        assert common == {w(2, 3, 0), w(2, 1, 1), w(2, 0, 0)}
+        for mu in common:
+            assert a[a.index(mu)] is b[b.index(mu)]
+        listed = dominant_weights_up_to(2, 20)
+        for mu in a:
+            assert listed[listed.index(mu)] is mu
+
     @pytest.mark.parametrize("l", [2, 3])
     def test_complete(self, l):
         # every dominant weight below lam shows up

@@ -204,6 +204,84 @@ class TestTensorDecompose:
         }
 
 
+# the largest height of a factor per rank in the differential test
+TENSOR_BOUND = {1: 40, 2: 30, 3: 30, 4: 30, 5: 30}
+
+
+@st.composite
+def tensor_cases(draw):
+    """(l, mu, nu) at A1-A5, nu half the time the zero weight, mu or mu*."""
+    l = draw(st.integers(1, 5))
+    weights = dominant_weights_up_to(l, TENSOR_BOUND[l])
+    mu = draw(st.sampled_from(weights))
+    nu = draw(
+        st.one_of(
+            st.sampled_from([zero_weight(l), mu, dual_weight(mu)]),
+            st.sampled_from(weights),
+        )
+    )
+    return l, mu, nu
+
+
+class TestBrauerKlimyk:
+    @settings(max_examples=80, deadline=None)
+    @given(tensor_cases())
+    @example((1, zero_weight(1), zero_weight(1)))
+    @example((2, w(2, 3, 1), w(2, 3, 1)))
+    @example((3, w(3, 2, 1, 0), w(3, 0, 1, 2)))
+    @example((5, w(5, 1, 0, 2, 0, 0), zero_weight(5)))
+    def test_matches_product_and_decompose(self, case):
+        l, mu, nu = case
+        expected = decompose(freudenthal_character(l, mu) * freudenthal_character(l, nu))
+        assert tensor_decompose(l, mu, nu) == expected
+        assert tensor_decompose(l, nu, mu) == expected
+
+    # rows recorded from the product-and-decompose route at commit 29f1ddc,
+    # keyed by fundamental coordinates
+    PINNED = [
+        (2, (2, 1), (1, 2), {
+            (3, 3): 1, (1, 4): 1, (4, 1): 1, (2, 2): 2,
+            (0, 3): 1, (3, 0): 1, (1, 1): 2, (0, 0): 1,
+        }),
+        (2, (3, 1), (2, 0), {(5, 1): 1, (3, 2): 1, (1, 3): 1, (4, 0): 1, (2, 1): 1}),
+        (3, (1, 0, 1), (0, 1, 1), {
+            (1, 1, 2): 1, (0, 0, 3): 1, (1, 2, 0): 1,
+            (2, 0, 1): 1, (0, 1, 1): 2, (1, 0, 0): 1,
+        }),
+        (3, (2, 1, 0), (0, 1, 2), {
+            (2, 2, 2): 1, (3, 0, 3): 1, (1, 1, 3): 1, (3, 1, 1): 1,
+            (1, 2, 1): 1, (2, 0, 2): 2, (0, 1, 2): 1, (2, 1, 0): 1,
+            (0, 2, 0): 1, (1, 0, 1): 2, (0, 0, 0): 1,
+        }),
+    ]
+
+    @pytest.mark.parametrize("l,mu,nu,row", PINNED)
+    def test_needs_no_product_and_no_decompose(self, monkeypatch, l, mu, nu, row):
+        from charrig import oracle
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tensor_decompose must not call this")
+
+        oracle.clear_memo()
+        monkeypatch.setattr(CharElement, "__mul__", forbidden)
+        monkeypatch.setattr(CharElement, "__rmul__", forbidden)
+        monkeypatch.setattr(oracle, "decompose", forbidden)
+        expected = {w(l, *lam): c for lam, c in row.items()}
+        assert tensor_decompose(l, w(l, *mu), w(l, *nu)) == expected
+        assert tensor_decompose(l, w(l, *nu), w(l, *mu)) == expected
+
+    @pytest.mark.parametrize(
+        "bad,match",
+        [((1, 0), "wrong length"), ((1, 0, 0, 0), "wrong length"), ((0, 1, 0), "not dominant")],
+    )
+    def test_rejects_bad_weight_in_either_position(self, bad, match):
+        good = w(2, 1, 1)
+        with pytest.raises(ValueError, match=match):
+            tensor_decompose(2, bad, good)
+        with pytest.raises(ValueError, match=match):
+            tensor_decompose(2, good, bad)
+
+
 class TestLRIdentities:
     @pytest.mark.parametrize("l,bound", [(2, 10), (3, 10)])
     def test_symmetry_duality_positivity_dimensions(self, l, bound):
