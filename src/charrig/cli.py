@@ -53,11 +53,17 @@ def _coords_str(eps) -> str:
     return ",".join(str(c) for c in fundamental_coords(eps))
 
 
-def _emit(doc, fmt: str, tsv_lines) -> None:
+def _print_table(
+    fmt: str, rows: list, columns: tuple, head: dict, tail: dict, last: str
+) -> None:
+    """Print (weight, value, ...) rows under columns: as JSON, head, the
+    rows keyed by columns, then tail; as TSV, a header, the rows, then last."""
     if fmt == "json":
-        sys.stdout.write(serialize.dump_doc(doc))
+        table = [dict(zip(columns, (serialize.weight_doc(r[0]), *r[1:]))) for r in rows]
+        sys.stdout.write(serialize.dump_doc({**head, "rows": table, **tail}))
     else:
-        sys.stdout.write("\n".join(tsv_lines) + "\n")
+        lines = ["\t".join([_coords_str(r[0]), *map(str, r[1:])]) for r in rows]
+        sys.stdout.write("\n".join(["\t".join(columns), *lines, last]) + "\n")
 
 
 def _read_json(path: str, what: str):
@@ -79,52 +85,25 @@ def _write_file(path: str, text: str) -> None:
 def cmd_char(args) -> int:
     lam = _parse_dominant(args.weight, args.rank)
     ch = oracle.freudenthal_character(args.rank, lam, _cache_dir(args))
-    rows = sorted_terms(ch.terms)
+    rows = [(mu, m, orbit_size(mu)) for mu, m in sorted_terms(ch.terms)]
     dim = oracle.weyl_dim(args.rank, lam)
-    doc = {
-        "rank": args.rank,
-        "lambda": serialize.weight_doc(lam),
-        "rows": [
-            {
-                "mu": serialize.weight_doc(mu),
-                "multiplicity": m,
-                "orbit_size": orbit_size(mu),
-            }
-            for mu, m in rows
-        ],
-        "dimension": dim,
-    }
-    tsv = ["mu\tmultiplicity\torbit_size"]
-    tsv += [f"{_coords_str(mu)}\t{m}\t{orbit_size(mu)}" for mu, m in rows]
-    tsv.append(f"dimension\t{dim}\t")
-    _emit(doc, args.format, tsv)
+    head = {"rank": args.rank, "lambda": serialize.weight_doc(lam)}
+    columns = ("mu", "multiplicity", "orbit_size")
+    _print_table(args.format, rows, columns, head, {"dimension": dim}, f"dimension\t{dim}\t")
     return 0
 
 
 def cmd_tensor(args) -> int:
     mu = _parse_dominant(args.mu, args.rank)
     nu = _parse_dominant(args.nu, args.rank)
-    cache = _cache_dir(args)
-    row = oracle.tensor_decompose(args.rank, mu, nu, cache)
-    rows = sorted_terms(row)
-    dims = {lam: oracle.weyl_dim(args.rank, lam) for lam, _ in rows}
-    total = sum(c * dims[lam] for lam, c in rows)
+    row = oracle.tensor_decompose(args.rank, mu, nu, _cache_dir(args))
+    rows = [(lam, c, oracle.weyl_dim(args.rank, lam)) for lam, c in sorted_terms(row)]
+    total = sum(c * dim for _, c, dim in rows)
     product = oracle.weyl_dim(args.rank, mu) * oracle.weyl_dim(args.rank, nu)
-    doc = {
-        "rank": args.rank,
-        "mu": serialize.weight_doc(mu),
-        "nu": serialize.weight_doc(nu),
-        "rows": [
-            {"lambda": serialize.weight_doc(lam), "coeff": c, "dimension": dims[lam]}
-            for lam, c in rows
-        ],
-        "dimension_sum": total,
-        "dimension_product": product,
-    }
-    tsv = ["lambda\tcoeff\tdimension"]
-    tsv += [f"{_coords_str(lam)}\t{c}\t{dims[lam]}" for lam, c in rows]
-    tsv.append(f"dimension_check\t{total}\t{product}")
-    _emit(doc, args.format, tsv)
+    head = {"rank": args.rank, "mu": serialize.weight_doc(mu), "nu": serialize.weight_doc(nu)}
+    tail = {"dimension_sum": total, "dimension_product": product}
+    columns = ("lambda", "coeff", "dimension")
+    _print_table(args.format, rows, columns, head, tail, f"dimension_check\t{total}\t{product}")
     return 0
 
 

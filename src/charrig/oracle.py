@@ -99,14 +99,20 @@ def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
             os.remove(tmp)
 
 
-def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> CharElement:
-    """The formal character of the highest-weight module with highest
-    weight lam, as {mu: multiplicity} over the saturated dominants."""
+def _checked_dominant(l: int, lam: Eps) -> Eps:
+    """lam in canonical form; ValueError unless it is a dominant weight of A_l."""
     if len(lam) != l + 1:
         raise ValueError(f"weight {lam} has wrong length for A_{l}")
     lam = canonical(lam)
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
+    return lam
+
+
+def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> CharElement:
+    """The formal character of the highest-weight module with highest
+    weight lam, as {mu: multiplicity} over the saturated dominants."""
+    lam = _checked_dominant(l, lam)
     key = (l, lam)
     if key in _MEMO:
         return _MEMO[key]
@@ -161,11 +167,7 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
 def weyl_dim(l: int, lam: Eps) -> int:
     """Dimension of the highest-weight module, by the product formula
     over coordinate pairs; exact integer."""
-    if len(lam) != l + 1:
-        raise ValueError(f"weight {lam} has wrong length for A_{l}")
-    lam = canonical(lam)
-    if not is_dominant(lam):
-        raise ValueError(f"{lam} is not dominant")
+    lam = _checked_dominant(l, lam)
     num = 1
     den = 1
     for i in range(l + 1):
@@ -178,7 +180,7 @@ def weyl_dim(l: int, lam: Eps) -> int:
     return dim
 
 
-def decompose(f: CharElement, cache_dir: str | None = None) -> dict[Eps, int]:
+def decompose(f: CharElement) -> dict[Eps, int]:
     """Coefficients d_mu with f = sum d_mu ch_mu, the nonzero ones only,
     by ring.expand over every dominant weight below a term of f in
     decreasing processing order.  Height strictly increases up the
@@ -189,7 +191,7 @@ def decompose(f: CharElement, cache_dir: str | None = None) -> dict[Eps, int]:
         if mu not in weights:  # else its saturated set is already in
             weights.update(saturated_dominants(mu))
     order = sorted(weights, key=processing_key, reverse=True)
-    row = expand(f, order, lambda mu: freudenthal_character(f.rank, mu, cache_dir))
+    row = expand(f, order, lambda mu: freudenthal_character(f.rank, mu))
     return {mu: d for mu, d in row.items() if d}
 
 

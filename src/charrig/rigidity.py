@@ -30,7 +30,9 @@ by the layout.  The support check compares two families, a candidate and
 that reference, and skips a member that is the reference's own object, as
 every member a perturbation shares with it is.  verify_family fetches each
 true character once, for the support check and the memberwise comparison
-alike, and lr_table is the reference's own structure constants.
+alike.  lr_table tabulates lr_oracle, the Brauer-Klimyk rows of
+tensor_decompose, with no family and no ring product: only the checks
+extract structure constants.
 """
 
 import functools
@@ -203,14 +205,14 @@ def lr_oracle(l: int, cache_dir: str | None = None):
 def lr_table(l: int, bound: int, cache_dir: str | None = None) -> dict:
     """Full table {(mu, nu, lam): value} of Littlewood-Richardson
     coefficients for all nonzero dominant pairs whose sum stays in
-    bound, zeros included (so absence genuinely means missing): the
-    true family's structure constants over the layout's pairs."""
-    truth = true_family(l, bound, cache_dir)
+    bound, zeros included (so absence genuinely means missing): lr_oracle
+    over the layout's pairs, each row over the saturated set of mu + nu."""
+    query = lr_oracle(l, cache_dir)
     return {
-        (mu, nu, s): n
-        for mu, nu, _ in _layout(l, bound).pairs
+        (mu, nu, s): query(mu, nu, s)
+        for mu, nu, lam0 in _layout(l, bound).pairs
         if any(mu) and any(nu)  # the zero weight is the only all-zero key
-        for s, n in extract_structure_constants(truth, mu, nu).items()
+        for s in saturated_dominants(lam0)
     }
 
 

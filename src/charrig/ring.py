@@ -152,7 +152,3 @@ def orbit_sum(mu: Eps) -> CharElement:
 def unit(l: int) -> CharElement:
     """The multiplicative identity e(0) = h(0)."""
     return orbit_sum(zero_weight(l))
-
-
-def zero(l: int) -> CharElement:
-    return CharElement(l, {})

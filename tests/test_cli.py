@@ -250,6 +250,17 @@ class TestDeterminismAndCache:
             assert res.stderr == ""
         assert blocker.read_text() == "not a directory"
 
+    def test_table_caches_only_the_factors(self, tmp_path):
+        from charrig.lattice import add, dominant_weights_up_to, fundamental_coords, height
+
+        cache = tmp_path / "cache"
+        res = run("table", "--rank", "2", "--bound", "12", "--cache-dir", str(cache))
+        assert res.returncode == 0
+        weights = [a for a in dominant_weights_up_to(2, 12) if any(a)]
+        factors = {a for a in weights for b in weights if height(add(a, b)) <= 12}
+        names = {"A2_" + "-".join(map(str, fundamental_coords(a))) + ".json" for a in factors}
+        assert {p.name for p in cache.iterdir()} == names
+
 
 def stdout_sha256(*args):
     res = subprocess.run([sys.executable, "-m", "charrig", *args], capture_output=True)
@@ -282,6 +293,11 @@ OUTPUT_SHA256 = {
         "3d944f071d7fb25039332b31a0b0e53a406cf921a24206a0aac21c18e3be2540",
     "tensor --rank 4 --mu 3,2,2,3 --nu 2,3,3,2":
         "c89c03e4218c584358add00bab1c2cfb8e1613e8fd0be43e51abd331d264a6b4",
+    # recorded at commit bc5fbb6
+    "tensor --rank 2 --mu 2,1 --nu 1,2 --format tsv":
+        "14be373fc522c4d4d19f54c1fad519bc45702b236141fe6d559f909877586d49",
+    "tensor --rank 3 --mu 1,0,1 --nu 0,1,1 --format tsv":
+        "c7bddfbd3635a735eb539a59d9cf1c6432e195d47f6ceaf3b491a5efb3b5e804",
     "table --rank 2 --bound 12":
         "8e7e4ecbab7f35202c8e2963e25404f203c523358af1cb8cd8e872abca123ab9",
     "table --rank 3 --bound 12":

@@ -40,7 +40,7 @@ from charrig.rigidity import (
     validate_family,
     verify_family,
 )
-from charrig.ring import CharElement, orbit_sum, unit, zero
+from charrig.ring import CharElement, orbit_sum, unit
 
 
 def w(*coords):
@@ -199,7 +199,9 @@ class TestReconstruction:
         assert fam.members == fam12.members
 
     def test_wrong_leading_coefficient_raises(self, monkeypatch):
-        monkeypatch.setattr(rigidity, "_recursion_step", lambda members, mu, nu, row: zero(2))
+        monkeypatch.setattr(
+            rigidity, "_recursion_step", lambda members, mu, nu, row: CharElement(2, {})
+        )
         with pytest.raises(ArithmeticError, match="leading coefficient"):
             reconstruct_family(lr_oracle(2), 2, 10)
 
@@ -220,20 +222,38 @@ class TestReconstruction:
         assert fam.members != fam10.members
 
 
+def enumerated_lr_table(l, bound):
+    """The reference table: one tensor_decompose per ordered pair of
+    nonzero weights in bound, each row over the saturated set of the sum."""
+    weights = dominant_weights_up_to(l, bound)
+    expected = {}
+    for mu, nu in itertools.product(weights, weights):
+        lam0 = add(mu, nu)
+        if any(mu) and any(nu) and height(lam0) <= bound:
+            row = tensor_decompose(l, mu, nu)
+            expected.update(((mu, nu, s), row.get(s, 0)) for s in saturated_dominants(lam0))
+    return expected
+
+
 class TestLRTable:
-    @pytest.mark.parametrize("l,bound", [(2, 16), (3, 16)])
+    @pytest.mark.parametrize("l,bound", [(2, 16), (3, 16), (1, 30), (4, 24)])
     def test_matches_tensor_decompose(self, l, bound):
-        # the route lr_table took before it read the true family: one
-        # tensor_decompose per ordered pair of nonzero weights in bound
-        weights = dominant_weights_up_to(l, bound)
-        expected = {}
-        for mu, nu in itertools.product(weights, weights):
-            lam0 = add(mu, nu)
-            if any(mu) and any(nu) and height(lam0) <= bound:
-                row = tensor_decompose(l, mu, nu)
-                expected.update(((mu, nu, s), row.get(s, 0)) for s in saturated_dominants(lam0))
+        expected = enumerated_lr_table(l, bound)
         assert expected
         assert lr_table(l, bound) == expected
+
+    def test_forms_no_product_and_no_family(self, monkeypatch):
+        expected = {l: enumerated_lr_table(l, 16) for l in (2, 3)}
+
+        def forbidden(*args):
+            raise AssertionError("lr_table must read only tensor_decompose")
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(CharElement, name, forbidden)
+        monkeypatch.setattr(rigidity, "true_family", forbidden)
+        monkeypatch.setattr(rigidity, "extract_structure_constants", forbidden)
+        for l in (2, 3):
+            assert lr_table(l, 16) == expected[l]
 
 
 class TestValidate:

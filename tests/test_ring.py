@@ -15,7 +15,7 @@ from charrig.lattice import (
     orbit_size,
 )
 from charrig.oracle import freudenthal_character
-from charrig.ring import CharElement, orbit_sum, unit, zero
+from charrig.ring import CharElement, orbit_sum, unit
 
 
 def w(l, *coords):
@@ -56,7 +56,7 @@ def product_factors(draw):
         st.tuples(st.sampled_from(weights), st.integers(-3, 3).filter(bool)),
         min_size=1,
         max_size=3,
-    ).map(lambda pairs: sum((orbit_sum(mu) * c for mu, c in pairs), zero(l)))
+    ).map(lambda pairs: sum((orbit_sum(mu) * c for mu, c in pairs), CharElement(l, {})))
     f = draw(element)
     kind = draw(st.sampled_from(["other", "unit", "same", "dual"]))
     if kind == "other":
@@ -89,7 +89,7 @@ small_element = st.lists(
     max_size=3,
 ).map(
     lambda pairs: sum(
-        (orbit_sum(mu) * c for mu, c in pairs), zero(2)
+        (orbit_sum(mu) * c for mu, c in pairs), CharElement(2, {})
     )
 )
 
