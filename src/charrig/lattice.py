@@ -13,6 +13,7 @@ matrix inversion anywhere.
 
 import functools
 import math
+import operator
 from collections import Counter
 from itertools import permutations
 
@@ -26,7 +27,7 @@ class NotInRootLattice(ValueError):
 def canonical(v) -> Eps:
     """Shift so the minimum coordinate is 0."""
     m = min(v)
-    return tuple(x - m for x in v)
+    return tuple([x - m for x in v])
 
 
 def zero_weight(l: int) -> Eps:
@@ -71,7 +72,7 @@ def add(a: Eps, b: Eps) -> Eps:
     """Coset addition (well defined modulo the all-ones vector)."""
     if len(a) != len(b):
         raise ValueError("rank mismatch")
-    return canonical(tuple(x + y for x, y in zip(a, b)))
+    return canonical(list(map(operator.add, a, b)))
 
 
 @functools.cache
@@ -208,11 +209,12 @@ def height(eps: Eps) -> int:
 
     Strictly decreases when a nonzero nonnegative root combination or a
     nonzero dominant weight is subtracted, so it linearizes the
-    recursion order on dominant weights.
+    recursion order on dominant weights.  Shifting eps by m times the
+    all-ones vector moves the pairing by m * l(l+1), so the closed form
+    2 sum (l-i) eps_i - l(l+1) min(eps) needs no canonical copy.
     """
-    eps = canonical(eps)
     l = len(eps) - 1
-    return 2 * pairing(eps, rho(l))
+    return 2 * sum(map(operator.mul, eps, range(l, -1, -1))) - l * (l + 1) * min(eps)
 
 
 @functools.cache

@@ -112,6 +112,10 @@ def _checked_dominant(l: int, lam: Eps) -> Eps:
 def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> CharElement:
     """The formal character of the highest-weight module with highest
     weight lam, as {mu: multiplicity} over the saturated dominants."""
+    try:
+        return _MEMO[l, lam]  # every key holds a checked canonical weight
+    except (KeyError, TypeError):  # a miss, or an unhashable weight such as a list
+        pass
     lam = _checked_dominant(l, lam)
     key = (l, lam)
     if key in _MEMO:

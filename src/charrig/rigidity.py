@@ -8,9 +8,9 @@ structure-constant oracle, and test the two conditions that force the
 family to be the true characters: the small-support multiplicity
 condition and the tensor duality condition.
 
-Each family carries a memo of the ring products f_mu * f_nu that
-extract_structure_constants has computed, keyed on the identities of the
-two member objects.  perturb_family hands the copy a child of that memo:
+Each family carries a memo of the ring products f_mu * f_nu that its
+structure-constant rows have read, keyed on the identities of the two
+member objects.  perturb_family hands the copy a child of that memo:
 the copy reads the parent's products, which are still valid for every
 member it shares, and writes its own only into the child map, which is
 freed with the copy.  A replaced member has a new identity, so no product
@@ -19,11 +19,18 @@ result is identical with it cold, warm or absent.
 
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, never on the members.  _Layout
-holds the pairs and the sites; _layout computes it once per (rank, bound)
-and keeps it for the life of the process, as lattice keeps each weight's
-saturated set and dual.  Both checks refuse a family whose index set is
-not the layout's.  Like the product memo, the layout changes only the
-speed: every result is identical with it cold or warm.
+holds the pairs, the sites, one row per unordered pair, and the dual
+slots: for each triple (mu, nu, lam), the row of its dual pair
+(lam, nu*), or no row when that pair leaves the bound.  Those skipped
+triples are listed in the layout once, and each duality check returns
+its own copy of the list.  So the check builds each unordered pair's row
+once, by the helper extract_structure_constants runs after its bound
+test, and compares each triple with the row in its slot, with no add,
+dual_weight or pair lookup per triple.  _layout computes the layout once
+per (rank, bound) and keeps it for the life of the process, as lattice
+keeps each weight's saturated set and dual.  Both checks refuse a family
+whose index set is not the layout's.  Like the product memo, the layout
+changes only the speed: every result is identical with it cold or warm.
 
 true_family is the one reference: the family of true characters, indexed
 by the layout.  The support check compares two families, a candidate and
@@ -31,8 +38,9 @@ that reference, and skips a member that is the reference's own object, as
 every member a perturbation shares with it is.  verify_family fetches each
 true character once, for the support check and the memberwise comparison
 alike.  lr_table tabulates lr_oracle, the Brauer-Klimyk rows of
-tensor_decompose, with no family and no ring product: only the checks
-extract structure constants.
+tensor_decompose, one call per unordered pair, with no family and no ring
+product: only the duality check and extract_structure_constants form
+structure-constant rows.
 """
 
 import functools
@@ -193,11 +201,12 @@ def reconstruct_family(
 
 
 def lr_oracle(l: int, cache_dir: str | None = None):
-    """Oracle answering with genuine Littlewood-Richardson coefficients."""
+    """Oracle answering with genuine Littlewood-Richardson coefficients,
+    from one tensor_decompose per unordered pair: the row is symmetric."""
     row = functools.cache(lambda mu, nu: tensor_decompose(l, mu, nu, cache_dir))
 
     def query(mu: Eps, nu: Eps, s: Eps) -> int:
-        return row(mu, nu).get(s, 0)
+        return (row(mu, nu) if mu <= nu else row(nu, mu)).get(s, 0)
 
     return query
 
@@ -239,6 +248,12 @@ def extract_structure_constants(
         raise BoundExceeded(
             f"{lam0} (height {height(lam0)}) outside bound {fam.bound}"
         )
+    return _row(fam, mu, nu, saturated_dominants(lam0))
+
+
+def _row(fam: CharacterFamily, mu: Eps, nu: Eps, weights: tuple[Eps, ...]) -> dict[Eps, int]:
+    """extract_structure_constants over weights, the saturated set of
+    mu + nu, for a pair whose sum is known to be a member."""
     f, g = fam.members[mu], fam.members[nu]
     # the product commutes: one memo entry serves both orders
     key = (id(f), id(g)) if id(f) <= id(g) else (id(g), id(f))
@@ -247,7 +262,7 @@ def extract_structure_constants(
     except KeyError:
         prod = f * g
         fam.products[key] = (f, g, prod)
-    return expand(prod, saturated_dominants(lam0), fam.members.__getitem__)
+    return expand(prod, weights, fam.members.__getitem__)
 
 
 def _recursion_step(
@@ -275,12 +290,22 @@ def multiplicity_from_product(
 
 class _Layout(NamedTuple):
     """What the two checks read of a family with a given rank and bound,
-    none of it the members themselves."""
+    none of it the members themselves.
+
+    A slot is an index into rows, which holds one (a, b, Pi+(a + b)) per
+    unordered pair, in the order pairs first meets it.  For the k-th pair
+    (mu, nu, lam0), duals[k] is the slot of (mu, nu) and, for each lam of
+    saturated_dominants(lam0) in order, the slot of the dual pair
+    (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
+    those triples (mu, nu, lam), in the order the pairs give them."""
 
     pairs: tuple[tuple[Eps, Eps, Eps], ...]  # (a, b, a + b), a + b in bound
     # lam: the mu in its saturated set where lam - mu misses a simple
     # root, keyed by the index set in index_set() order
     sites: dict[Eps, tuple[Eps, ...]]
+    rows: tuple[tuple[Eps, Eps, tuple[Eps, ...]], ...]
+    duals: tuple[tuple[int, tuple[int | None, ...]], ...]
+    skipped: tuple[tuple[Eps, Eps, Eps], ...]
 
 
 @functools.cache
@@ -290,12 +315,20 @@ def _layout(l: int, bound: int) -> _Layout:
     # index ascends by height and height is additive on dominant weights,
     # so the first b out of bound ends a's pairs
     pairs = []
+    rows = []
+    slot: dict[tuple[Eps, Eps], int] = {}  # (a, b): the index of its row
     for a in index:
         for b in index:
             lam0 = add(a, b)
             if lam0 not in inside:
                 break
             pairs.append((a, b, lam0))
+            # the product commutes, so (b, a) reads the row of (a, b)
+            if (b, a) in slot:
+                slot[a, b] = slot[b, a]
+            else:
+                slot[a, b] = len(rows)
+                rows.append((a, b, saturated_dominants(lam0)))
     sites = {
         lam: tuple(
             mu
@@ -304,7 +337,16 @@ def _layout(l: int, bound: int) -> _Layout:
         )
         for lam in index
     }
-    return _Layout(tuple(pairs), sites)
+    duals = []
+    skipped = []
+    for mu, nu, lam0 in pairs:
+        nw = dual_weight(nu)
+        weights = saturated_dominants(lam0)
+        slots = tuple(map(slot.get, zip(weights, itertools.repeat(nw))))
+        if None in slots:
+            skipped += [(mu, nu, lam) for lam, k in zip(weights, slots) if k is None]
+        duals.append((slot[mu, nu], slots))
+    return _Layout(tuple(pairs), sites, tuple(rows), tuple(duals), tuple(skipped))
 
 
 def _family_layout(fam: CharacterFamily) -> _Layout:
@@ -346,27 +388,16 @@ def check_duality_condition(
     whose dual pair (lam, nu*) has no row in bound.  Raises ValueError
     when the index set is not the dominant weights in bound."""
     layout = _family_layout(fam)
+    rows = [_row(fam, a, b, weights) for a, b, weights in layout.rows]
     violations: list[tuple] = []
-    skipped: list[tuple] = []
-    # the product commutes, so rows[b, a] is rows[a, b]
-    rows: dict[tuple[Eps, Eps], dict[Eps, int]] = {}
-    for a, b, _ in layout.pairs:
-        if (b, a) in rows:
-            rows[a, b] = rows[b, a]
-        else:
-            rows[a, b] = extract_structure_constants(fam, a, b)
-    for mu, nu, lam0 in layout.pairs:
-        row = rows[mu, nu]
-        nw = dual_weight(nu)
-        for lam in saturated_dominants(lam0):
-            dual_row = rows.get((lam, nw))
-            if dual_row is None:
-                skipped.append((mu, nu, lam))
-                continue
-            lhs, rhs = row[lam], dual_row.get(mu, 0)
-            if lhs != rhs:
-                violations.append((mu, nu, lam, lhs, rhs))
-    return violations, skipped
+    for (mu, nu, lam0), (k, slots) in zip(layout.pairs, layout.duals):
+        # rows[k] and slots both follow saturated_dominants(lam0)
+        for lam, lhs, dual in zip(saturated_dominants(lam0), rows[k].values(), slots):
+            if dual is not None:
+                rhs = rows[dual].get(mu, 0)
+                if lhs != rhs:
+                    violations.append((mu, nu, lam, lhs, rhs))
+    return violations, list(layout.skipped)
 
 
 @dataclass

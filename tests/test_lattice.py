@@ -73,6 +73,29 @@ class TestCoordinates:
         assert canonical((5, 3, 4)) == (2, 0, 1)
 
 
+vectors = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(-30, 30), min_size=n, max_size=n).map(tuple)
+)
+
+
+class TestPrimitives:
+    @given(vectors, st.data())
+    def test_match_the_defining_formulas(self, a, data):
+        # negative and non-canonical vectors, against the defining formulas
+        b = data.draw(st.lists(st.integers(-30, 30), min_size=len(a), max_size=len(a)))
+        l = len(a) - 1
+        m = min(a)
+        assert canonical(a) == tuple(x - m for x in a)
+        s = tuple(x + y for x, y in zip(a, b))
+        assert add(a, b) == tuple(x - min(s) for x in s)
+        assert height(a) == 2 * pairing(tuple(x - m for x in a), rho(l))
+        assert height(list(a)) == height(a)
+
+    def test_add_rank_mismatch(self):
+        with pytest.raises(ValueError, match="rank mismatch"):
+            add((1, 0), (1, 0, 0))
+
+
 class TestOrbit:
     def test_examples(self):
         assert orbit((1, 0, 0)) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}

@@ -77,6 +77,18 @@ class TestFreudenthal:
         with pytest.raises(ValueError, match="wrong length"):
             freudenthal_character(2, lam)
 
+    def test_warm_memo_serves_the_same_inputs(self):
+        # the memo is read before the weight is checked: inputs that work
+        # cold still work warm, and bad ones are still refused
+        ch = freudenthal_character(2, (2, 0, 0))
+        freudenthal_character(1, (2, 0))
+        assert freudenthal_character(2, [2, 0, 0]) is ch  # unhashable
+        assert freudenthal_character(2, (3, 1, 1)) is ch  # not canonical
+        with pytest.raises(ValueError, match="wrong length"):
+            freudenthal_character(2, (2, 0))
+        with pytest.raises(ValueError, match="not dominant"):
+            freudenthal_character(2, (0, 2, 0))
+
 
 class TestWeylDim:
     def test_examples(self):

@@ -242,6 +242,17 @@ class TestLRTable:
         assert expected
         assert lr_table(l, bound) == expected
 
+    def test_one_tensor_decompose_per_unordered_pair(self, monkeypatch):
+        calls = []
+
+        def counted(l, mu, nu, cache_dir=None):
+            calls.append(tuple(sorted((mu, nu))))
+            return tensor_decompose(l, mu, nu, cache_dir)
+
+        monkeypatch.setattr(rigidity, "tensor_decompose", counted)
+        table = lr_table(2, 16)
+        assert len(calls) == len(set(calls)) == len({tuple(sorted(k[:2])) for k in table})
+
     def test_forms_no_product_and_no_family(self, monkeypatch):
         expected = {l: enumerated_lr_table(l, 16) for l in (2, 3)}
 
@@ -367,13 +378,30 @@ class TestDualityCondition:
         assert violations
         assert any(w(1, 1) in (mu, nu, add(mu, nu)) for mu, nu, lam, _, _ in violations)
 
-    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
+    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30), (1, 40), (5, 30)])
     def test_matches_naive_check(self, l, bound):
         # each family is checked after its parent, so it reads the parent's
-        # memoized products; the reference reads a copy with no memo
+        # memoized products; the reference reads a copy with no memo, and
+        # the check also runs on a copy whose members are new objects
         for family in sweep_families(true_family(l, bound)):
             fresh = CharacterFamily(family.rank, family.bound, dict(family.members))
-            assert check_duality_condition(family) == naive_duality(fresh)
+            expected = naive_duality(fresh)
+            assert check_duality_condition(family) == expected
+            assert check_duality_condition(fresh_copy(family)) == expected
+
+    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30)])
+    def test_skipped_is_the_same_for_every_family(self, l, bound):
+        fam = true_family(l, bound)
+        _, expected = naive_duality(CharacterFamily(l, bound, dict(fam.members)))
+        for family in sweep_families(fam):
+            assert check_duality_condition(family)[1] == expected
+
+    def test_returned_skipped_is_the_callers(self, fam10):
+        violations, skipped = check_duality_condition(fam10)
+        expected = list(skipped)
+        skipped.append(skipped[0])
+        check_duality_condition(fam10)[1].clear()
+        assert check_duality_condition(fam10) == (violations, expected)
 
     def test_witness_triple(self, fam10):
         row = extract_structure_constants(fam10, w(1, 0), w(0, 1))
