@@ -14,8 +14,19 @@ member objects.  perturb_family hands the copy a child of that memo:
 the copy reads the parent's products, which are still valid for every
 member it shares, and writes its own only into the child map, which is
 freed with the copy.  A replaced member has a new identity, so no product
-of the old one is read for it.  The memo changes only the speed: every
-result is identical with it cold, warm or absent.
+of the old one is read for it.
+
+The memo also keeps the state of a family's first, cold duality check:
+the member objects it read, its rows and each pair's violations.  A later
+check of that family, or of any family perturbed from it, finds that
+state through the chain, compares its members with the kept objects by
+identity, rebuilds only the rows that read a member that differs, and
+re-runs only the pairs that read those rows.  Such a check keeps no
+state of its own (only the products of a replaced member go into the
+family's own map, as above), and a member replaced in place in
+fam.members differs from the kept object, so it is never read stale.
+The memo changes only the speed: every result is identical with it
+cold, warm or absent, and every returned list and row is a fresh object.
 
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, never on the members.  _Layout
@@ -26,7 +37,9 @@ triples are listed in the layout once, and each duality check returns
 its own copy of the list.  So the check builds each unordered pair's row
 once, by the helper extract_structure_constants runs after its bound
 test, and compares each triple with the row in its slot, with no add,
-dual_weight or pair lookup per triple.  _layout computes the layout once
+dual_weight or pair lookup per triple.  Two inverse indices give the
+incremental check its work: the slots whose row reads each member, and
+the pairs that read each slot.  _layout computes the layout once
 per (rank, bound) and keeps it for the life of the process, as lattice
 keeps each weight's saturated set and dual.  Both checks refuse a family
 whose index set is not the layout's.  Like the product memo, the layout
@@ -92,7 +105,10 @@ class CharacterFamily:
 
     products memoizes member products as {(id, id): (f, g, f * g)}, the
     ids in sorted order; holding f and g keeps their ids from being
-    reused while the entry lives.  It takes no part in == or repr."""
+    reused while the entry lives.  After a cold duality check it also
+    maps ("duality", rank, bound) to (members, rows, violations): the
+    member objects in layout order, the rows by slot and, for each
+    pair, its violations or None.  It takes no part in == or repr."""
 
     rank: int
     bound: int
@@ -297,7 +313,13 @@ class _Layout(NamedTuple):
     (mu, nu, lam0), duals[k] is the slot of (mu, nu) and, for each lam of
     saturated_dominants(lam0) in order, the slot of the dual pair
     (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
-    those triples (mu, nu, lam), in the order the pairs give them."""
+    those triples (mu, nu, lam), in the order the pairs give them.
+
+    readers and users invert those indices.  The row of slot (a, b,
+    weights) reads the members a, b and those of weights, so readers[lam]
+    lists, in ascending order, the slots whose row reads member lam;
+    users[slot] lists, in ascending order, the indices into pairs whose
+    comparisons read that slot, as their own row or as a dual slot."""
 
     pairs: tuple[tuple[Eps, Eps, Eps], ...]  # (a, b, a + b), a + b in bound
     # lam: the mu in its saturated set where lam - mu misses a simple
@@ -306,6 +328,8 @@ class _Layout(NamedTuple):
     rows: tuple[tuple[Eps, Eps, tuple[Eps, ...]], ...]
     duals: tuple[tuple[int, tuple[int | None, ...]], ...]
     skipped: tuple[tuple[Eps, Eps, Eps], ...]
+    readers: dict[Eps, tuple[int, ...]]
+    users: tuple[tuple[int, ...], ...]
 
 
 @functools.cache
@@ -346,7 +370,23 @@ def _layout(l: int, bound: int) -> _Layout:
         if None in slots:
             skipped += [(mu, nu, lam) for lam, k in zip(weights, slots) if k is None]
         duals.append((slot[mu, nu], slots))
-    return _Layout(tuple(pairs), sites, tuple(rows), tuple(duals), tuple(skipped))
+    readers: dict[Eps, list[int]] = {lam: [] for lam in index}
+    for k, (a, b, weights) in enumerate(rows):
+        for lam in {a, b, *weights}:
+            readers[lam].append(k)
+    users: list[list[int]] = [[] for _ in rows]
+    for i, (k, slots) in enumerate(duals):
+        for s in {k, *slots} - {None}:
+            users[s].append(i)
+    return _Layout(
+        tuple(pairs),
+        sites,
+        tuple(rows),
+        tuple(duals),
+        tuple(skipped),
+        {lam: tuple(ks) for lam, ks in readers.items()},
+        tuple(map(tuple, users)),
+    )
 
 
 def _family_layout(fam: CharacterFamily) -> _Layout:
@@ -386,18 +426,53 @@ def check_duality_condition(
     Returns (violations, skipped): violations are
     (mu, nu, lam, lhs, rhs) tuples, skipped are (mu, nu, lam) triples
     whose dual pair (lam, nu*) has no row in bound.  Raises ValueError
-    when the index set is not the dominant weights in bound."""
+    when the index set is not the dominant weights in bound.
+
+    The first check of a family builds every row and keeps, in its memo,
+    the members it read, the rows and each pair's violations.  A later
+    check of the family or of a family perturbed from it rebuilds only
+    the rows that read a member that is not the kept object, re-runs only
+    the pairs that read those rows, and keeps none of them."""
     layout = _family_layout(fam)
-    rows = [_row(fam, a, b, weights) for a, b, weights in layout.rows]
-    violations: list[tuple] = []
-    for (mu, nu, lam0), (k, slots) in zip(layout.pairs, layout.duals):
-        # rows[k] and slots both follow saturated_dominants(lam0)
-        for lam, lhs, dual in zip(saturated_dominants(lam0), rows[k].values(), slots):
-            if dual is not None:
-                rhs = rows[dual].get(mu, 0)
-                if lhs != rhs:
-                    violations.append((mu, nu, lam, lhs, rhs))
-    return violations, list(layout.skipped)
+    key = ("duality", fam.rank, fam.bound)
+    state = fam.products.get(key)
+    if state is None:
+        members = tuple(map(fam.members.__getitem__, layout.sites))
+        rows = [_row(fam, a, b, weights) for a, b, weights in layout.rows]
+        found = [_pair_violations(layout, i, rows) for i in range(len(layout.pairs))]
+        fam.products[key] = (members, rows, found)
+    else:
+        members, rows, found = state
+        stale = {
+            k
+            for lam, f in zip(layout.sites, members)
+            if fam.members[lam] is not f
+            for k in layout.readers[lam]
+        }
+        if stale:
+            rows = list(rows)
+            for k in stale:
+                a, b, weights = layout.rows[k]
+                rows[k] = _row(fam, a, b, weights)
+            found = list(found)
+            for i in {i for k in stale for i in layout.users[k]}:
+                found[i] = _pair_violations(layout, i, rows)
+    return [v for vs in found if vs for v in vs], list(layout.skipped)
+
+
+def _pair_violations(layout: _Layout, i: int, rows: list) -> list[tuple] | None:
+    """The violations of the i-th pair of the layout, in the order of its
+    saturated set, or None when it has none."""
+    mu, nu, lam0 = layout.pairs[i]
+    k, slots = layout.duals[i]
+    out = []
+    # rows[k] and slots both follow saturated_dominants(lam0)
+    for lam, lhs, dual in zip(saturated_dominants(lam0), rows[k].values(), slots):
+        if dual is not None:
+            rhs = rows[dual].get(mu, 0)
+            if lhs != rhs:
+                out.append((mu, nu, lam, lhs, rhs))
+    return out or None
 
 
 @dataclass

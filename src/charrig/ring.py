@@ -44,6 +44,17 @@ class CharElement:
         self.rank = rank
         self.terms = clean
 
+    @classmethod
+    def _canonical(cls, rank: int, terms: dict) -> "CharElement":
+        """An element from terms whose keys are already canonical dominant
+        weights of rank: only the zero coefficients are dropped.  Every
+        arithmetic operation builds its result here, since its keys come
+        from its operands or, for a product, are sorted and shifted."""
+        self = object.__new__(cls)
+        self.rank = rank
+        self.terms = {mu: c for mu, c in terms.items() if c}
+        return self
+
     def coefficient(self, mu: Eps) -> int:
         """Coefficient of h(mu)."""
         return self.terms.get(mu, 0)
@@ -63,7 +74,7 @@ class CharElement:
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, 0) + c
-        return CharElement(self.rank, out)
+        return CharElement._canonical(self.rank, out)
 
     def __sub__(self, other):
         if not isinstance(other, CharElement):
@@ -71,11 +82,13 @@ class CharElement:
         return self + (-other)
 
     def __neg__(self):
-        return CharElement(self.rank, {mu: -c for mu, c in self.terms.items()})
+        return CharElement._canonical(self.rank, {mu: -c for mu, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return CharElement(self.rank, {mu: c * other for mu, c in self.terms.items()})
+            return CharElement._canonical(
+                self.rank, {mu: c * other for mu, c in self.terms.items()}
+            )
         if not isinstance(other, CharElement):
             return NotImplemented
         self._require_same_rank(other)
@@ -98,7 +111,7 @@ class CharElement:
                     if rem:
                         raise ArithmeticError("orbit-reduced product must divide exactly")
                     out[z] = out.get(z, 0) + ab * c
-        return CharElement(self.rank, out)
+        return CharElement._canonical(self.rank, out)
 
     __rmul__ = __mul__
 

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from charrig import rigidity
 from charrig.lattice import (
@@ -40,7 +41,7 @@ from charrig.rigidity import (
     validate_family,
     verify_family,
 )
-from charrig.ring import CharElement, orbit_sum, unit
+from charrig.ring import CharElement, expand, orbit_sum, unit
 
 
 def w(*coords):
@@ -438,6 +439,102 @@ class TestProductMemo:
         assert warm.products and not cold.products
         assert warm == cold
         assert repr(warm) == repr(cold)
+
+
+def shifted(f, mu, delta):
+    """f with the coefficient of h(mu) shifted by delta, as a new object."""
+    return CharElement(f.rank, {**f.terms, mu: f.coefficient(mu) + delta})
+
+
+def cold_report(fam):
+    """verify_family of a copy with the same member objects and no memo."""
+    return verify_family(CharacterFamily(fam.rank, fam.bound, dict(fam.members)))
+
+
+@pytest.fixture
+def built_rows(monkeypatch):
+    """The weights of every row the duality check builds, in order."""
+    built = []
+
+    def counted(f, weights, basis):
+        built.append(weights)
+        return expand(f, weights, basis)
+
+    monkeypatch.setattr(rigidity, "expand", counted)
+    return built
+
+
+class TestDualityState:
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(1, 16), (2, 12), (3, 12)]), st.data())
+    def test_every_check_equals_a_cold_check(self, shape, data):
+        # chains of perturbations, some several sites from the last checked
+        # ancestor, members replaced in place after a child was made, and
+        # families checked in any order, parents after their children too
+        l, bound = shape
+        families = [true_family(l, bound)]
+        sites = perturbation_sites(families[0])
+        site = st.sampled_from(sites)
+        delta = st.sampled_from([-2, -1, 1, 2])
+        for _ in range(data.draw(st.integers(1, 3), label="steps")):
+            fam = data.draw(st.sampled_from(families), label="family")
+            step = data.draw(st.sampled_from(["perturb", "replace", "check"]), label="step")
+            if step == "perturb":
+                lam, mu = data.draw(site, label="site")
+                families.append(perturb_family(fam, lam, mu, data.draw(delta, label="delta")))
+            elif step == "replace":
+                lam, mu = data.draw(site, label="site")
+                fam.members[lam] = shifted(fam.members[lam], mu, data.draw(delta, label="delta"))
+            else:
+                assert verify_family(fam) == cold_report(fam)
+        for fam in data.draw(st.permutations(families), label="order"):
+            assert verify_family(fam) == cold_report(fam)
+
+    def test_second_check_builds_no_row(self, built_rows):
+        fam = true_family(2, 12)
+        first = check_duality_condition(fam)
+        assert len(built_rows) == len(rigidity._layout(2, 12).rows)
+        built_rows.clear()
+        assert check_duality_condition(fam) == first
+        assert built_rows == []
+
+    @pytest.mark.parametrize("lam,mu", [(w(1, 1), w(0, 0)), (w(2, 2), w(1, 1))])
+    def test_child_builds_only_the_rows_reading_its_member(self, built_rows, lam, mu):
+        truth = true_family(2, 24)
+        check_duality_condition(truth)
+        child = perturb_family(truth, lam, mu, 1)
+        built_rows.clear()
+        report = verify_family(child)
+        assert len(built_rows) == len(rigidity._layout(2, 24).readers[lam])
+        assert report == cold_report(child)
+        assert not report.duality_pass
+        # the child keeps no state of its own: a second check starts again
+        # from its parent's
+        built_rows.clear()
+        assert verify_family(child) == report
+        assert len(built_rows) == len(rigidity._layout(2, 24).readers[lam])
+
+    def test_state_is_kept_per_bound(self):
+        # a memo handed to a family on another bound holds no state for it
+        other = true_family(2, 10)
+        check_duality_condition(other)
+        bad = perturb_family(true_family(2, 12), w(1, 1), w(0, 0), 1)
+        shared = CharacterFamily(2, 12, dict(bad.members), other.products.new_child())
+        assert verify_family(shared) == cold_report(bad)
+
+    def test_returned_lists_are_the_callers(self):
+        bad = perturb_family(true_family(2, 10), w(1, 1), w(0, 0), 1)
+        violations, _ = check_duality_condition(bad)  # the cold check
+        expected = list(violations)
+        violations.clear()
+        row = extract_structure_constants(bad, w(1, 0), w(0, 1))
+        row[w(0, 0)] = 99
+        again, _ = check_duality_condition(bad)
+        assert again == expected
+        again.append(again[0])
+        child = perturb_family(bad, w(2, 0), w(0, 1), 1)
+        assert check_duality_condition(child)[0] == cold_report(child).duality_violations
+        assert check_duality_condition(bad)[0] == expected
 
 
 # both checks, each taking only the family: the support check reads the

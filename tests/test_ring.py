@@ -168,6 +168,7 @@ class TestModuleStructure:
     def test_scale(self):
         assert (orbit_sum(w(2, 1, 0)) * 2).terms == {(1, 0, 0): 2}
         assert (2 * orbit_sum(w(2, 1, 0))).terms == {(1, 0, 0): 2}
+        assert (orbit_sum(w(2, 1, 0)) * 0).terms == {}
 
     def test_add_is_pointwise(self):
         f = orbit_sum(w(2, 1, 0))
