@@ -8,25 +8,20 @@ structure-constant oracle, and test the two conditions that force the
 family to be the true characters: the small-support multiplicity
 condition and the tensor duality condition.
 
-Each family carries a memo of the ring products f_mu * f_nu that its
-structure-constant rows have read, keyed on the identities of the two
-member objects.  perturb_family hands the copy a child of that memo:
-the copy reads the parent's products, which are still valid for every
-member it shares, and writes its own only into the child map, which is
-freed with the copy.  A replaced member has a new identity, so no product
-of the old one is read for it.
-
-The memo also keeps the state of a family's first, cold duality check:
-the member objects it read, its rows and each pair's violations.  A later
-check of that family, or of any family perturbed from it, finds that
-state through the chain, compares its members with the kept objects by
-identity, rebuilds only the rows that read a member that differs, and
-re-runs only the pairs that read those rows.  Such a check keeps no
-state of its own (only the products of a replaced member go into the
-family's own map, as above), and a member replaced in place in
-fam.members differs from the kept object, so it is never read stale.
-The memo changes only the speed: every result is identical with it
-cold, warm or absent, and every returned list and row is a fresh object.
+Each family carries one memo dict, which perturb_family hands to the
+copy as it is.  It keeps, per (rank, bound), the state of the first,
+cold duality check of any family that shares it: the member objects it
+read, the product of each row's two factors, the rows and each pair's
+violations.  A later check, by that family or by any other that shares
+the memo, compares its members with the kept objects by identity.  It
+rebuilds only the rows that read a member that differs, as a factor or
+at a nonzero kept coefficient, forms a new product only for a row with
+a factor that differs, re-runs only the pairs that read those rows, and
+keeps none of that work.  A member replaced in
+place in fam.members differs from the kept object, so it is never read
+stale.  The memo changes only the speed: every result is identical with
+it cold, warm or absent, and every returned list and row is a fresh
+object.
 
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, never on the members.  _Layout
@@ -35,15 +30,16 @@ slots: for each triple (mu, nu, lam), the row of its dual pair
 (lam, nu*), or no row when that pair leaves the bound.  Those skipped
 triples are listed in the layout once, and each duality check returns
 its own copy of the list.  So the check builds each unordered pair's row
-once, by the helper extract_structure_constants runs after its bound
-test, and compares each triple with the row in its slot, with no add,
-dual_weight or pair lookup per triple.  Two inverse indices give the
-incremental check its work: the slots whose row reads each member, and
-the pairs that read each slot.  _layout computes the layout once
-per (rank, bound) and keeps it for the life of the process, as lattice
-keeps each weight's saturated set and dual.  Both checks refuse a family
-whose index set is not the layout's.  Like the product memo, the layout
-changes only the speed: every result is identical with it cold or warm.
+once, expanding the product of its two members as
+extract_structure_constants does, and compares each triple with the row
+in its slot, with no add, dual_weight or pair lookup per triple.  Two
+inverse indices give the incremental check its work: the slots whose row
+reads each member, and the pairs that read each slot.  _layout computes
+the layout once per (rank, bound) and keeps it for the life of the
+process, as lattice keeps each weight's saturated set and dual.  Both
+checks refuse a family whose index set is not the layout's.  Like the
+memo, the layout changes only the speed: every result is identical with
+it cold or warm.
 
 true_family is the one reference: the family of true characters, indexed
 by the layout.  The support check compares two families, a candidate and
@@ -59,7 +55,6 @@ structure-constant rows.
 import functools
 import itertools
 import random
-from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -103,17 +98,16 @@ class CharacterFamily:
     """An indexed collection {lam: f_lam} over all dominant weights with
     height(lam) <= bound.
 
-    products memoizes member products as {(id, id): (f, g, f * g)}, the
-    ids in sorted order; holding f and g keeps their ids from being
-    reused while the entry lives.  After a cold duality check it also
-    maps ("duality", rank, bound) to (members, rows, violations): the
-    member objects in layout order, the rows by slot and, for each
-    pair, its violations or None.  It takes no part in == or repr."""
+    memo is shared with every copy perturb_family makes.  A cold duality
+    check maps (rank, bound) in it to (members, prods, rows, found): the
+    member objects in layout order, the product of each slot's two
+    factors, the rows by slot and, for each pair, its violations or
+    None.  It takes no part in == or repr."""
 
     rank: int
     bound: int
     members: dict
-    products: ChainMap = field(default_factory=ChainMap, compare=False, repr=False)
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def index_set(self) -> list[Eps]:
         return sorted(self.members, key=processing_key)
@@ -264,21 +258,8 @@ def extract_structure_constants(
         raise BoundExceeded(
             f"{lam0} (height {height(lam0)}) outside bound {fam.bound}"
         )
-    return _row(fam, mu, nu, saturated_dominants(lam0))
-
-
-def _row(fam: CharacterFamily, mu: Eps, nu: Eps, weights: tuple[Eps, ...]) -> dict[Eps, int]:
-    """extract_structure_constants over weights, the saturated set of
-    mu + nu, for a pair whose sum is known to be a member."""
-    f, g = fam.members[mu], fam.members[nu]
-    # the product commutes: one memo entry serves both orders
-    key = (id(f), id(g)) if id(f) <= id(g) else (id(g), id(f))
-    try:
-        prod = fam.products[key][2]
-    except KeyError:
-        prod = f * g
-        fam.products[key] = (f, g, prod)
-    return expand(prod, weights, fam.members.__getitem__)
+    members = fam.members
+    return expand(members[mu] * members[nu], saturated_dominants(lam0), members.__getitem__)
 
 
 def _recursion_step(
@@ -429,31 +410,40 @@ def check_duality_condition(
     when the index set is not the dominant weights in bound.
 
     The first check of a family builds every row and keeps, in its memo,
-    the members it read, the rows and each pair's violations.  A later
-    check of the family or of a family perturbed from it rebuilds only
-    the rows that read a member that is not the kept object, re-runs only
-    the pairs that read those rows, and keeps none of them."""
+    the members it read, each row's product, the rows and each pair's
+    violations.  A later check of any family sharing the memo rebuilds
+    only the rows that read a member that is not the kept object, at a
+    nonzero kept coefficient or as a factor, forms a new product only
+    for a replaced factor, re-runs only the pairs that read those rows,
+    and keeps none of them."""
     layout = _family_layout(fam)
-    key = ("duality", fam.rank, fam.bound)
-    state = fam.products.get(key)
+    basis = fam.members.__getitem__
+    key = (fam.rank, fam.bound)
+    state = fam.memo.get(key)
     if state is None:
-        members = tuple(map(fam.members.__getitem__, layout.sites))
-        rows = [_row(fam, a, b, weights) for a, b, weights in layout.rows]
+        members = tuple(map(basis, layout.sites))
+        prods = [basis(a) * basis(b) for a, b, _ in layout.rows]
+        rows = [expand(p, weights, basis) for p, (_, _, weights) in zip(prods, layout.rows)]
         found = [_pair_violations(layout, i, rows) for i in range(len(layout.pairs))]
-        fam.products[key] = (members, rows, found)
+        fam.memo[key] = (members, prods, rows, found)
     else:
-        members, rows, found = state
+        members, prods, rows, found = state
+        changed = {lam for lam, f in zip(layout.sites, members) if basis(lam) is not f}
+        # a row whose factors are kept reads basis(lam) only where its
+        # coefficient at lam is nonzero, so, top-down, it is unchanged
+        # while every changed coefficient is 0
         stale = {
             k
-            for lam, f in zip(layout.sites, members)
-            if fam.members[lam] is not f
+            for lam in changed
             for k in layout.readers[lam]
+            if lam in layout.rows[k][:2] or rows[k].get(lam)
         }
         if stale:
             rows = list(rows)
             for k in stale:
                 a, b, weights = layout.rows[k]
-                rows[k] = _row(fam, a, b, weights)
+                prod = basis(a) * basis(b) if a in changed or b in changed else prods[k]
+                rows[k] = expand(prod, weights, basis)
             found = list(found)
             for i in {i for k in stale for i in layout.users[k]}:
                 found[i] = _pair_violations(layout, i, rows)
@@ -512,7 +502,9 @@ def verify_family(
 def perturb_family(
     fam: CharacterFamily, lam: Eps, mu: Eps, delta: int
 ) -> CharacterFamily:
-    """Copy of fam with the coefficient of h(mu) in f_lam shifted by delta."""
+    """Copy of fam with the coefficient of h(mu) in f_lam shifted by
+    delta.  The copy shares fam's memo, so a duality check of either
+    starts from the state of the first one checked."""
     if type(delta) is not int or delta == 0:
         raise PerturbationError("delta must be a nonzero integer")
     if lam not in fam.members:
@@ -526,7 +518,7 @@ def perturb_family(
     terms[mu] = terms.get(mu, 0) + delta
     members = dict(fam.members)
     members[lam] = CharElement(fam.rank, terms)
-    return CharacterFamily(fam.rank, fam.bound, members, fam.products.new_child())
+    return CharacterFamily(fam.rank, fam.bound, members, fam.memo)
 
 
 def perturbation_sites(fam: CharacterFamily) -> list[tuple[Eps, Eps]]:

@@ -381,9 +381,9 @@ class TestDualityCondition:
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30), (1, 40), (5, 30)])
     def test_matches_naive_check(self, l, bound):
-        # each family is checked after its parent, so it reads the parent's
-        # memoized products; the reference reads a copy with no memo, and
-        # the check also runs on a copy whose members are new objects
+        # each family is checked after its parent, so it starts from the
+        # parent's duality state; the reference reads a copy with no memo,
+        # and the check also runs on a copy whose members are new objects
         for family in sweep_families(true_family(l, bound)):
             fresh = CharacterFamily(family.rank, family.bound, dict(family.members))
             expected = naive_duality(fresh)
@@ -412,16 +412,49 @@ class TestDualityCondition:
 
 
 class TestProductMemo:
-    def test_child_writes_only_its_own_map(self):
-        fam = true_family(2, 10)
-        verify_family(fam)
-        own = fam.products.maps[0]
-        keys = set(own)
-        child = perturb_family(fam, w(1, 1), w(0, 0), 1)
+    def test_one_entry_per_rank_and_bound(self):
+        small = true_family(2, 10)
+        check_duality_condition(small)
+        large = CharacterFamily(2, 12, dict(true_family(2, 12).members), small.memo)
+        for fam in (large, perturb_family(large, w(1, 1), w(0, 0), 1), small):
+            check_duality_condition(fam)
+        assert small.memo.keys() == {(2, 10), (2, 12)}
+        for (l, bound), (members, prods, rows, found) in small.memo.items():
+            layout = rigidity._layout(l, bound)
+            assert len(members) == len(layout.sites)
+            assert len(prods) == len(rows) == len(layout.rows)
+            assert len(found) == len(layout.pairs)
+
+    def test_child_adds_nothing(self):
+        truth = true_family(2, 10)
+        check_duality_condition(truth)
+        state = truth.memo[2, 10]
+        members, prods, rows, found = (list(part) for part in state)
+        rows = [dict(row) for row in rows]
+        child = perturb_family(truth, w(1, 1), w(0, 0), 1)
+        assert child.memo is truth.memo
         verify_family(child)
-        assert own.keys() == keys
-        # the child recomputes only the products of its replaced member
-        assert 0 < len(child.products.maps[0]) < len(own)
+        verify_family(child)
+        extract_structure_constants(child, w(1, 0), w(0, 1))
+        assert truth.memo == {(2, 10): state}
+        assert list(state[0]) == members and list(state[3]) == found
+        assert all(p is q for p, q in zip(state[1], prods, strict=True))
+        assert state[2] == rows
+
+    def test_child_checked_first_leaves_the_state(self, built_rows):
+        lam = w(1, 1)
+        truth = true_family(2, 12)
+        child = perturb_family(truth, lam, w(0, 0), 1)
+        report = verify_family(child)
+        layout = rigidity._layout(2, 12)
+        assert truth.memo.keys() == {(2, 12)}
+        assert truth.memo[2, 12][0][list(layout.sites).index(lam)] is child.members[lam]
+        expected = rows_reading(child, lam)
+        built_rows.clear()
+        parent_report = verify_family(truth)
+        assert len(built_rows) == expected < len(layout.readers[lam])
+        assert parent_report == cold_report(truth)
+        assert report == cold_report(child)
 
     def test_replaced_member_is_never_read_stale(self):
         fam = true_family(2, 10)
@@ -436,7 +469,7 @@ class TestProductMemo:
         warm = true_family(2, 10)
         check_duality_condition(warm)
         cold = CharacterFamily(warm.rank, warm.bound, dict(warm.members))
-        assert warm.products and not cold.products
+        assert warm.memo and not cold.memo
         assert warm == cold
         assert repr(warm) == repr(cold)
 
@@ -449,6 +482,16 @@ def shifted(f, mu, delta):
 def cold_report(fam):
     """verify_family of a copy with the same member objects and no memo."""
     return verify_family(CharacterFamily(fam.rank, fam.bound, dict(fam.members)))
+
+
+def rows_reading(fam, lam):
+    """How many of fam's rows read member lam: as a factor, or at a
+    nonzero structure constant."""
+    return sum(
+        lam in (a, b) or bool(extract_structure_constants(fam, a, b)[lam])
+        for a, b, weights in rigidity._layout(fam.rank, fam.bound).rows
+        if lam in weights or lam in (a, b)
+    )
 
 
 @pytest.fixture
@@ -500,26 +543,30 @@ class TestDualityState:
 
     @pytest.mark.parametrize("lam,mu", [(w(1, 1), w(0, 0)), (w(2, 2), w(1, 1))])
     def test_child_builds_only_the_rows_reading_its_member(self, built_rows, lam, mu):
+        # a row whose factors are kept is rebuilt only where it reads the
+        # changed member at a nonzero coefficient: fewer than its readers
         truth = true_family(2, 24)
         check_duality_condition(truth)
+        expected = rows_reading(truth, lam)
+        assert expected < len(rigidity._layout(2, 24).readers[lam])
         child = perturb_family(truth, lam, mu, 1)
         built_rows.clear()
         report = verify_family(child)
-        assert len(built_rows) == len(rigidity._layout(2, 24).readers[lam])
+        assert len(built_rows) == expected
         assert report == cold_report(child)
         assert not report.duality_pass
         # the child keeps no state of its own: a second check starts again
         # from its parent's
         built_rows.clear()
         assert verify_family(child) == report
-        assert len(built_rows) == len(rigidity._layout(2, 24).readers[lam])
+        assert len(built_rows) == expected
 
     def test_state_is_kept_per_bound(self):
         # a memo handed to a family on another bound holds no state for it
         other = true_family(2, 10)
         check_duality_condition(other)
         bad = perturb_family(true_family(2, 12), w(1, 1), w(0, 0), 1)
-        shared = CharacterFamily(2, 12, dict(bad.members), other.products.new_child())
+        shared = CharacterFamily(2, 12, dict(bad.members), other.memo)
         assert verify_family(shared) == cold_report(bad)
 
     def test_returned_lists_are_the_callers(self):
