@@ -195,7 +195,7 @@ def decompose(f: CharElement) -> dict[Eps, int]:
         if mu not in weights:  # else its saturated set is already in
             weights.update(saturated_dominants(mu))
     order = sorted(weights, key=processing_key, reverse=True)
-    row = expand(f, order, lambda mu: freudenthal_character(f.rank, mu))
+    row = expand(f.terms, order, lambda mu: freudenthal_character(f.rank, mu).terms)
     return {mu: d for mu, d in row.items() if d}
 
 

@@ -8,54 +8,24 @@ structure-constant oracle, and test the two conditions that force the
 family to be the true characters: the small-support multiplicity
 condition and the tensor duality condition.
 
-Each family carries one memo dict, which perturb_family hands to the
-copy as it is.  It keeps, per (rank, bound), the state of the first,
-cold duality check of any family that shares it: the member objects it
-read, the product of each row's two factors, the rows and each pair's
-violations.  A later check, by that family or by any other that shares
-the memo, compares its members with the kept objects by identity.  It
-rebuilds only the rows that read a member that differs, as a factor or
-at a nonzero kept coefficient, forms a new product only for a row with
-a factor that differs, re-runs only the pairs that read those rows, and
-keeps none of that work.  A member replaced in
-place in fam.members differs from the kept object, so it is never read
-stale.  The memo changes only the speed: every result is identical with
-it cold, warm or absent, and every returned list and row is a fresh
-object.
-
 Which pairs, triples and small-support sites the two checks read depends
-only on the rank and the height bound, never on the members.  _Layout
-holds the pairs, the sites, one row per unordered pair, and the dual
-slots: for each triple (mu, nu, lam), the row of its dual pair
-(lam, nu*), or no row when that pair leaves the bound.  Those skipped
-triples are listed in the layout once, and each duality check returns
-its own copy of the list.  So the check builds each unordered pair's row
-once, expanding the product of its two members as
-extract_structure_constants does, and compares each triple with the row
-in its slot, with no add, dual_weight or pair lookup per triple.  Two
-inverse indices give the incremental check its work: the slots whose row
-reads each member, and the pairs that read each slot.  _layout computes
-the layout once per (rank, bound) and keeps it for the life of the
-process, as lattice keeps each weight's saturated set and dual.  Both
-checks refuse a family whose index set is not the layout's.  Like the
-memo, the layout changes only the speed: every result is identical with
-it cold or warm.
-
-true_family is the one reference: the family of true characters, indexed
-by the layout.  The support check compares two families, a candidate and
-that reference, and skips a member that is the reference's own object, as
-every member a perturbation shares with it is.  verify_family fetches each
-true character once, for the support check and the memberwise comparison
-alike.  lr_table tabulates lr_oracle, the Brauer-Klimyk rows of
-tensor_decompose, one call per unordered pair, with no family and no ring
-product: only the duality check and extract_structure_constants form
-structure-constant rows.
+only on the rank and the height bound, so _layout computes them once per
+(rank, bound): one row per unordered pair, the dual slot of each triple
+and the skipped triples.  Both checks compare a family with true_family,
+the family of true characters, and read again only what a member that
+differs from it changes.  Structure constants do not depend on the basis
+they are written in, so the duality check anchors on _reference, the
+true family's Brauer-Klimyk rows from tensor_decompose: a row that reads
+a changed member is rewritten through the character-basis expansion of
+the members that differ, and no ring product is formed.
+extract_structure_constants is the product route, and the tests'
+reference for those rows.
 """
 
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import (
@@ -73,7 +43,7 @@ from .lattice import (
     support_size,
     zero_weight,
 )
-from .oracle import freudenthal_character, tensor_decompose
+from .oracle import decompose, freudenthal_character, tensor_decompose
 from .ring import CharElement, expand, orbit_sum, unit
 
 
@@ -96,18 +66,11 @@ class PerturbationError(ValueError):
 @dataclass(frozen=True)
 class CharacterFamily:
     """An indexed collection {lam: f_lam} over all dominant weights with
-    height(lam) <= bound.
-
-    memo is shared with every copy perturb_family makes.  A cold duality
-    check maps (rank, bound) in it to (members, prods, rows, found): the
-    member objects in layout order, the product of each slot's two
-    factors, the rows by slot and, for each pair, its violations or
-    None.  It takes no part in == or repr."""
+    height(lam) <= bound."""
 
     rank: int
     bound: int
     members: dict
-    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def index_set(self) -> list[Eps]:
         return sorted(self.members, key=processing_key)
@@ -259,7 +222,9 @@ def extract_structure_constants(
             f"{lam0} (height {height(lam0)}) outside bound {fam.bound}"
         )
     members = fam.members
-    return expand(members[mu] * members[nu], saturated_dominants(lam0), members.__getitem__)
+    return expand(
+        (members[mu] * members[nu]).terms, saturated_dominants(lam0), lambda t: members[t].terms
+    )
 
 
 def _recursion_step(
@@ -290,7 +255,8 @@ class _Layout(NamedTuple):
     none of it the members themselves.
 
     A slot is an index into rows, which holds one (a, b, Pi+(a + b)) per
-    unordered pair, in the order pairs first meets it.  For the k-th pair
+    unordered pair, in the order pairs first meets it, and slots maps
+    both orders of each pair to its slot.  For the k-th pair
     (mu, nu, lam0), duals[k] is the slot of (mu, nu) and, for each lam of
     saturated_dominants(lam0) in order, the slot of the dual pair
     (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
@@ -307,6 +273,7 @@ class _Layout(NamedTuple):
     # root, keyed by the index set in index_set() order
     sites: dict[Eps, tuple[Eps, ...]]
     rows: tuple[tuple[Eps, Eps, tuple[Eps, ...]], ...]
+    slots: dict[tuple[Eps, Eps], int]
     duals: tuple[tuple[int, tuple[int | None, ...]], ...]
     skipped: tuple[tuple[Eps, Eps, Eps], ...]
     readers: dict[Eps, tuple[int, ...]]
@@ -363,6 +330,7 @@ def _layout(l: int, bound: int) -> _Layout:
         tuple(pairs),
         sites,
         tuple(rows),
+        slot,
         tuple(duals),
         tuple(skipped),
         {lam: tuple(ks) for lam, ks in readers.items()},
@@ -398,55 +366,72 @@ def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> lis
     return violations
 
 
+@functools.cache
+def _reference(l: int, bound: int) -> tuple[tuple[dict, ...], tuple]:
+    """The true family's duality state on the layout of (l, bound): its
+    row at each slot, tensor_decompose over the slot's weights with zeros
+    included, and each pair's violations or None.  Like the layout, it is
+    kept for the life of the process."""
+    layout = _layout(l, bound)
+    rows = []
+    for a, b, weights in layout.rows:
+        row = tensor_decompose(l, a, b)
+        rows.append({t: row.get(t, 0) for t in weights})
+    found = tuple(_pair_violations(layout, i, rows) for i in range(len(layout.pairs)))
+    return tuple(rows), found
+
+
 def check_duality_condition(
-    fam: CharacterFamily,
+    fam: CharacterFamily, truth: CharacterFamily
 ) -> tuple[list[tuple], list[tuple]]:
     """Check the tensor duality identity n_{mu nu}^lam = n_{lam nu*}^mu on
-    every triple whose dual pair (lam, nu*) has a row in bound.
+    every triple whose dual pair (lam, nu*) has a row in bound; truth is
+    the true family on the same bound.
 
     Returns (violations, skipped): violations are
     (mu, nu, lam, lhs, rhs) tuples, skipped are (mu, nu, lam) triples
     whose dual pair (lam, nu*) has no row in bound.  Raises ValueError
     when the index set is not the dominant weights in bound.
 
-    The first check of a family builds every row and keeps, in its memo,
-    the members it read, each row's product, the rows and each pair's
-    violations.  A later check of any family sharing the memo rebuilds
-    only the rows that read a member that is not the kept object, at a
-    nonzero kept coefficient or as a factor, forms a new product only
-    for a replaced factor, re-runs only the pairs that read those rows,
-    and keeps none of them."""
+    Each row is the truth's unless it reads a member that differs from
+    the truth's, as a factor or at a nonzero coefficient of the truth's
+    row.  Such a row is rebuilt in the character basis: with D_t the
+    decomposition of a member that differs and {t: 1} for any other,
+    f_a * f_b is the sum over s, r of D_a[s] * D_b[r] times the truth's
+    row of (s, r), and ring.expand writes it in the basis D.  Only the
+    pairs that read a rebuilt row are compared again."""
     layout = _family_layout(fam)
-    basis = fam.members.__getitem__
-    key = (fam.rank, fam.bound)
-    state = fam.memo.get(key)
-    if state is None:
-        members = tuple(map(basis, layout.sites))
-        prods = [basis(a) * basis(b) for a, b, _ in layout.rows]
-        rows = [expand(p, weights, basis) for p, (_, _, weights) in zip(prods, layout.rows)]
-        found = [_pair_violations(layout, i, rows) for i in range(len(layout.pairs))]
-        fam.memo[key] = (members, prods, rows, found)
-    else:
-        members, prods, rows, found = state
-        changed = {lam for lam, f in zip(layout.sites, members) if basis(lam) is not f}
-        # a row whose factors are kept reads basis(lam) only where its
-        # coefficient at lam is nonzero, so, top-down, it is unchanged
-        # while every changed coefficient is 0
-        stale = {
-            k
-            for lam in changed
-            for k in layout.readers[lam]
-            if lam in layout.rows[k][:2] or rows[k].get(lam)
-        }
-        if stale:
-            rows = list(rows)
-            for k in stale:
-                a, b, weights = layout.rows[k]
-                prod = basis(a) * basis(b) if a in changed or b in changed else prods[k]
-                rows[k] = expand(prod, weights, basis)
-            found = list(found)
-            for i in {i for k in stale for i in layout.users[k]}:
-                found[i] = _pair_violations(layout, i, rows)
+    ref, found = _reference(fam.rank, fam.bound)
+    changed = {
+        lam: decompose(f)
+        for lam, f in fam.members.items()
+        if f is not truth.members[lam] and f != truth.members[lam]
+    }
+
+    def basis(t: Eps) -> dict[Eps, int]:
+        return changed.get(t) or {t: 1}
+
+    # top-down, a row whose factors are the truth's reads basis(lam) only
+    # where its coefficient at lam is nonzero, so it is the truth's row
+    # while every changed member's coefficient there is 0
+    stale = {
+        k
+        for lam in changed
+        for k in layout.readers[lam]
+        if lam in layout.rows[k][:2] or ref[k][lam]
+    }
+    rows, found = list(ref), list(found)
+    for k in stale:
+        a, b, weights = layout.rows[k]
+        terms: dict[Eps, int] = {}
+        for s, ds in basis(a).items():
+            for r, dr in basis(b).items():
+                c = ds * dr
+                for t, n in ref[layout.slots[s, r]].items():
+                    terms[t] = terms.get(t, 0) + c * n
+        rows[k] = expand(terms, weights, basis)
+    for i in {i for k in stale for i in layout.users[k]}:
+        found[i] = _pair_violations(layout, i, rows)
     return [v for vs in found if vs for v in vs], list(layout.skipped)
 
 
@@ -494,7 +479,7 @@ def verify_family(
     against the true characters, each fetched once."""
     truth = true_family(fam.rank, fam.bound, cache_dir)
     support_violations = check_support_condition(fam, truth)
-    duality_violations, skipped = check_duality_condition(fam)
+    duality_violations, skipped = check_duality_condition(fam, truth)
     equal = fam.members == truth.members
     return ConditionReport(support_violations, duality_violations, skipped, equal)
 
@@ -503,8 +488,7 @@ def perturb_family(
     fam: CharacterFamily, lam: Eps, mu: Eps, delta: int
 ) -> CharacterFamily:
     """Copy of fam with the coefficient of h(mu) in f_lam shifted by
-    delta.  The copy shares fam's memo, so a duality check of either
-    starts from the state of the first one checked."""
+    delta."""
     if type(delta) is not int or delta == 0:
         raise PerturbationError("delta must be a nonzero integer")
     if lam not in fam.members:
@@ -518,7 +502,7 @@ def perturb_family(
     terms[mu] = terms.get(mu, 0) + delta
     members = dict(fam.members)
     members[lam] = CharElement(fam.rank, terms)
-    return CharacterFamily(fam.rank, fam.bound, members, fam.memo)
+    return CharacterFamily(fam.rank, fam.bound, members)
 
 
 def perturbation_sites(fam: CharacterFamily) -> list[tuple[Eps, Eps]]:

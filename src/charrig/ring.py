@@ -137,23 +137,24 @@ def sorted_terms(terms: dict) -> list[tuple[Eps, int]]:
     return sorted(terms.items(), key=lambda kv: processing_key(kv[0]), reverse=True)
 
 
-def expand(f: CharElement, weights, basis) -> dict[Eps, int]:
+def expand(terms: dict, weights, basis) -> dict[Eps, int]:
     """Coefficients n^t of f = sum n^t basis(t) over the given weights
-    (zeros included).
+    (zeros included), f given by its terms and basis(t) returning the
+    terms of the t-th basis element, both in one basis.
 
     Each basis(t) must be unitriangular with leading term t, and weights
     must list every term of every basis(t) after t and hold every t with
     n^t != 0.  Computed top-down: the coefficient of f at t minus the
     already-known contributions of everything above t."""
     row: dict[Eps, int] = {}
-    above: list[tuple[int, dict]] = []  # (n^s, terms of basis(s)) for n^s != 0
+    above: list[tuple[int, dict]] = []  # (n^s, basis(s)) for n^s != 0
     for t in weights:
-        val = f.terms.get(t, 0)
-        for ns, terms in above:
-            val -= ns * terms.get(t, 0)
+        val = terms.get(t, 0)
+        for ns, below in above:
+            val -= ns * below.get(t, 0)
         row[t] = val
         if val:
-            above.append((val, basis(t).terms))
+            above.append((val, basis(t)))
     return row
 
 

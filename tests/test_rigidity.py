@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -23,6 +25,7 @@ from charrig.oracle import freudenthal_character, tensor_decompose
 from charrig.rigidity import (
     BoundExceeded,
     CharacterFamily,
+    ConditionReport,
     OracleIncomplete,
     PerturbationError,
     check_duality_condition,
@@ -42,6 +45,7 @@ from charrig.rigidity import (
     verify_family,
 )
 from charrig.ring import CharElement, expand, orbit_sum, unit
+from charrig.serialize import dump_doc, family_from_doc, family_to_doc
 
 
 def w(*coords):
@@ -101,7 +105,8 @@ def sweep_families(fam):
 
 
 def fresh_copy(fam):
-    """A family equal to fam that shares no member object and no memo."""
+    """A family equal to fam that shares no member object, as a family
+    read from a file is."""
     members = {lam: CharElement(f.rank, dict(f.terms)) for lam, f in fam.members.items()}
     return CharacterFamily(fam.rank, fam.bound, members)
 
@@ -360,12 +365,12 @@ class TestSupportCondition:
 
 class TestDualityCondition:
     def test_true_family_clean(self, fam10):
-        violations, skipped = check_duality_condition(fam10)
+        violations, skipped = check_duality_condition(fam10, fam10)
         assert violations == []
         assert skipped  # the finite bound always truncates some duals
 
     def test_skipped_exactly_the_escapees(self, fam10):
-        _, skipped = check_duality_condition(fam10)
+        _, skipped = check_duality_condition(fam10, fam10)
         for mu, nu, lam in skipped:
             nw = dual_weight(nu)
             assert (
@@ -375,34 +380,33 @@ class TestDualityCondition:
     @pytest.mark.parametrize("delta", [1, -1, 2])
     def test_full_support_perturbation_caught(self, fam10, delta):
         bad = perturb_family(fam10, w(1, 1), w(0, 0), delta)
-        violations, _ = check_duality_condition(bad)
+        violations, _ = check_duality_condition(bad, fam10)
         assert violations
         assert any(w(1, 1) in (mu, nu, add(mu, nu)) for mu, nu, lam, _, _ in violations)
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30), (1, 40), (5, 30)])
     def test_matches_naive_check(self, l, bound):
-        # each family is checked after its parent, so it starts from the
-        # parent's duality state; the reference reads a copy with no memo,
-        # and the check also runs on a copy whose members are new objects
-        for family in sweep_families(true_family(l, bound)):
-            fresh = CharacterFamily(family.rank, family.bound, dict(family.members))
-            expected = naive_duality(fresh)
-            assert check_duality_condition(family) == expected
-            assert check_duality_condition(fresh_copy(family)) == expected
+        # the check also runs on a copy whose members are new objects, as
+        # a family read from a file is
+        truth = true_family(l, bound)
+        for family in sweep_families(truth):
+            expected = naive_duality(family)
+            assert check_duality_condition(family, truth) == expected
+            assert check_duality_condition(fresh_copy(family), truth) == expected
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30)])
     def test_skipped_is_the_same_for_every_family(self, l, bound):
         fam = true_family(l, bound)
-        _, expected = naive_duality(CharacterFamily(l, bound, dict(fam.members)))
+        _, expected = naive_duality(fam)
         for family in sweep_families(fam):
-            assert check_duality_condition(family)[1] == expected
+            assert check_duality_condition(family, fam)[1] == expected
 
     def test_returned_skipped_is_the_callers(self, fam10):
-        violations, skipped = check_duality_condition(fam10)
+        violations, skipped = check_duality_condition(fam10, fam10)
         expected = list(skipped)
         skipped.append(skipped[0])
-        check_duality_condition(fam10)[1].clear()
-        assert check_duality_condition(fam10) == (violations, expected)
+        check_duality_condition(fam10, fam10)[1].clear()
+        assert check_duality_condition(fam10, fam10) == (violations, expected)
 
     def test_witness_triple(self, fam10):
         row = extract_structure_constants(fam10, w(1, 0), w(0, 1))
@@ -412,47 +416,61 @@ class TestDualityCondition:
 
 
 class TestProductMemo:
+    """_reference: the true family's rows and each pair's violations,
+    kept once per (rank, bound) for the duality check of every family."""
+
     def test_one_entry_per_rank_and_bound(self):
-        small = true_family(2, 10)
-        check_duality_condition(small)
-        large = CharacterFamily(2, 12, dict(true_family(2, 12).members), small.memo)
-        for fam in (large, perturb_family(large, w(1, 1), w(0, 0), 1), small):
-            check_duality_condition(fam)
-        assert small.memo.keys() == {(2, 10), (2, 12)}
-        for (l, bound), (members, prods, rows, found) in small.memo.items():
-            layout = rigidity._layout(l, bound)
-            assert len(members) == len(layout.sites)
-            assert len(prods) == len(rows) == len(layout.rows)
+        rigidity._reference.cache_clear()
+        small, large = true_family(2, 10), true_family(2, 12)
+        checks = [
+            (small, small),
+            (large, large),
+            (perturb_family(large, w(1, 1), w(0, 0), 1), large),
+            (fresh_copy(small), small),
+        ]
+        for fam, truth in checks:
+            check_duality_condition(fam, truth)
+        assert rigidity._reference.cache_info().currsize == 2
+        for bound in (10, 12):
+            rows, found = rigidity._reference(2, bound)
+            layout = rigidity._layout(2, bound)
+            assert [list(row) for row in rows] == [list(weights) for _, _, weights in layout.rows]
             assert len(found) == len(layout.pairs)
+            assert not any(found)
+
+    @pytest.mark.parametrize("l,bound", [(1, 30), (2, 16), (3, 16), (4, 16)])
+    def test_rows_are_the_truths_structure_constants(self, l, bound):
+        truth = true_family(l, bound)
+        rows, _ = rigidity._reference(l, bound)
+        expected = [
+            extract_structure_constants(truth, a, b) for a, b, _ in rigidity._layout(l, bound).rows
+        ]
+        assert list(rows) == expected
 
     def test_child_adds_nothing(self):
         truth = true_family(2, 10)
-        check_duality_condition(truth)
-        state = truth.memo[2, 10]
-        members, prods, rows, found = (list(part) for part in state)
-        rows = [dict(row) for row in rows]
+        check_duality_condition(truth, truth)
+        state = rigidity._reference(2, 10)
+        rows, found = [dict(row) for row in state[0]], list(state[1])
         child = perturb_family(truth, w(1, 1), w(0, 0), 1)
-        assert child.memo is truth.memo
         verify_family(child)
         verify_family(child)
         extract_structure_constants(child, w(1, 0), w(0, 1))
-        assert truth.memo == {(2, 10): state}
-        assert list(state[0]) == members and list(state[3]) == found
-        assert all(p is q for p, q in zip(state[1], prods, strict=True))
-        assert state[2] == rows
+        assert rigidity._reference(2, 10) is state
+        assert list(state[0]) == rows and list(state[1]) == found
 
     def test_child_checked_first_leaves_the_state(self, built_rows):
         lam = w(1, 1)
+        rigidity._reference.cache_clear()
         truth = true_family(2, 12)
         child = perturb_family(truth, lam, w(0, 0), 1)
+        expected = rows_reading(truth, lam)
+        built_rows.clear()
         report = verify_family(child)
-        layout = rigidity._layout(2, 12)
-        assert truth.memo.keys() == {(2, 12)}
-        assert truth.memo[2, 12][0][list(layout.sites).index(lam)] is child.members[lam]
-        expected = rows_reading(child, lam)
+        assert len(built_rows) == expected < len(rigidity._layout(2, 12).readers[lam])
         built_rows.clear()
         parent_report = verify_family(truth)
-        assert len(built_rows) == expected < len(layout.readers[lam])
+        assert built_rows == []
         assert parent_report == cold_report(truth)
         assert report == cold_report(child)
 
@@ -465,13 +483,9 @@ class TestProductMemo:
         assert not report.duality_pass
         assert verify_family(fam) == report
 
-    def test_memo_takes_no_part_in_equality(self):
-        warm = true_family(2, 10)
-        check_duality_condition(warm)
-        cold = CharacterFamily(warm.rank, warm.bound, dict(warm.members))
-        assert warm.memo and not cold.memo
-        assert warm == cold
-        assert repr(warm) == repr(cold)
+    def test_family_holds_only_rank_bound_and_members(self):
+        names = [f.name for f in dataclasses.fields(CharacterFamily)]
+        assert names == ["rank", "bound", "members"]
 
 
 def shifted(f, mu, delta):
@@ -480,8 +494,10 @@ def shifted(f, mu, delta):
 
 
 def cold_report(fam):
-    """verify_family of a copy with the same member objects and no memo."""
-    return verify_family(CharacterFamily(fam.rank, fam.bound, dict(fam.members)))
+    """verify_family's report from the reference checks: naive_support,
+    and naive_duality, the orbit-pair product route."""
+    equal = fam.members == true_family(fam.rank, fam.bound).members
+    return ConditionReport(naive_support(fam), *naive_duality(fam), equal)
 
 
 def rows_reading(fam, lam):
@@ -499,21 +515,41 @@ def built_rows(monkeypatch):
     """The weights of every row the duality check builds, in order."""
     built = []
 
-    def counted(f, weights, basis):
+    def counted(terms, weights, basis):
         built.append(weights)
-        return expand(f, weights, basis)
+        return expand(terms, weights, basis)
 
     monkeypatch.setattr(rigidity, "expand", counted)
     return built
+
+
+def unitriangular_families(data, shapes):
+    """A family drawn at one of the shapes: the true family with some
+    members, or every member that has a lower weight, shifted at lower
+    weights, each changed member a new object."""
+    l, bound = data.draw(st.sampled_from(shapes), label="shape")
+    truth = true_family(l, bound)
+    every = data.draw(st.booleans(), label="every")
+    members = dict(truth.members)
+    for lam, f in truth.members.items():
+        lower = saturated_dominants(lam)[1:]
+        if lower and (every or data.draw(st.booleans(), label="changed")):
+            terms = dict(f.terms)
+            for mu in lower:
+                terms[mu] += data.draw(st.integers(-2, 2), label="shift")
+            mu = data.draw(st.sampled_from(lower), label="site")
+            terms[mu] += data.draw(st.sampled_from([-1, 1]), label="delta")
+            members[lam] = CharElement(l, terms)
+    return truth, CharacterFamily(l, bound, members)
 
 
 class TestDualityState:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([(1, 16), (2, 12), (3, 12)]), st.data())
     def test_every_check_equals_a_cold_check(self, shape, data):
-        # chains of perturbations, some several sites from the last checked
-        # ancestor, members replaced in place after a child was made, and
-        # families checked in any order, parents after their children too
+        # chains of perturbations, some several sites from the truth,
+        # members replaced in place after a child was made, and families
+        # checked in any order, parents after their children too
         l, bound = shape
         families = [true_family(l, bound)]
         sites = perturbation_sites(families[0])
@@ -533,20 +569,63 @@ class TestDualityState:
         for fam in data.draw(st.permutations(families), label="order"):
             assert verify_family(fam) == cold_report(fam)
 
-    def test_second_check_builds_no_row(self, built_rows):
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_unitriangular_families_equal_the_product_route(self, data):
+        truth, fam = unitriangular_families(data, [(1, 16), (2, 12), (3, 12), (4, 14)])
+        validate_family(fam)
+        assert check_duality_condition(fam, truth) == naive_duality(fam)
+
+    def test_forms_no_product(self, monkeypatch):
+        truth = true_family(2, 20)
+        lam, mu = w(2, 2), w(1, 1)
+        every = {
+            k: shifted(f, saturated_dominants(k)[-1], 1) if len(saturated_dominants(k)) > 1 else f
+            for k, f in truth.members.items()
+        }
+        families = [
+            truth,
+            fresh_copy(truth),
+            perturb_family(truth, lam, mu, 1),
+            fresh_copy(perturb_family(perturb_family(truth, lam, mu, -1), mu, w(0, 0), 2)),
+            CharacterFamily(2, 20, every),
+        ]
+        expected = [naive_duality(fam) for fam in families]
+
+        def forbidden(*args):
+            raise AssertionError("the duality check must form no ring product")
+
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(CharElement, name, forbidden)
+        rigidity._layout.cache_clear()
+        rigidity._reference.cache_clear()
+        assert [check_duality_condition(fam, truth) for fam in families] == expected
+
+    def test_second_check_builds_no_row(self, built_rows, monkeypatch):
+        # the truth's rows are the reference, so no check of the truth or
+        # of a copy equal to it builds a row, cold or warm
+        rigidity._reference.cache_clear()
+        calls = []
+
+        def counted(l, mu, nu, cache_dir=None):
+            calls.append((mu, nu))
+            return tensor_decompose(l, mu, nu, cache_dir)
+
+        monkeypatch.setattr(rigidity, "tensor_decompose", counted)
         fam = true_family(2, 12)
-        first = check_duality_condition(fam)
-        assert len(built_rows) == len(rigidity._layout(2, 12).rows)
-        built_rows.clear()
-        assert check_duality_condition(fam) == first
-        assert built_rows == []
+        first = check_duality_condition(fam, fam)
+        assert len(calls) == len(rigidity._layout(2, 12).rows)
+        calls.clear()
+        for copy in (fam, fresh_copy(fam)):
+            assert check_duality_condition(copy, fam) == first
+        assert built_rows == [] and calls == []
 
     @pytest.mark.parametrize("lam,mu", [(w(1, 1), w(0, 0)), (w(2, 2), w(1, 1))])
     def test_child_builds_only_the_rows_reading_its_member(self, built_rows, lam, mu):
-        # a row whose factors are kept is rebuilt only where it reads the
-        # changed member at a nonzero coefficient: fewer than its readers
+        # a row whose factors are the truth's is rebuilt only where the
+        # truth's row reads the changed member at a nonzero coefficient:
+        # fewer than its readers
         truth = true_family(2, 24)
-        check_duality_condition(truth)
         expected = rows_reading(truth, lam)
         assert expected < len(rigidity._layout(2, 24).readers[lam])
         child = perturb_family(truth, lam, mu, 1)
@@ -555,45 +634,58 @@ class TestDualityState:
         assert len(built_rows) == expected
         assert report == cold_report(child)
         assert not report.duality_pass
-        # the child keeps no state of its own: a second check starts again
-        # from its parent's
+        # a check keeps nothing: a second one builds the same rows again
         built_rows.clear()
         assert verify_family(child) == report
         assert len(built_rows) == expected
 
+    def test_family_read_from_a_file_builds_only_the_rows_reading_its_member(self, built_rows):
+        lam = w(2, 2)
+        truth = true_family(2, 24)
+        child = perturb_family(truth, lam, w(1, 1), 1)
+        loaded = family_from_doc(json.loads(dump_doc(family_to_doc(child))))
+        assert loaded == child
+        assert not any(loaded.members[k] is f for k, f in truth.members.items())
+        expected = rows_reading(truth, lam)
+        built_rows.clear()
+        report = verify_family(loaded)
+        assert len(built_rows) == expected
+        assert report == cold_report(child)
+
     def test_state_is_kept_per_bound(self):
-        # a memo handed to a family on another bound holds no state for it
+        # the reference of one bound is never read for another
         other = true_family(2, 10)
-        check_duality_condition(other)
+        check_duality_condition(other, other)
         bad = perturb_family(true_family(2, 12), w(1, 1), w(0, 0), 1)
-        shared = CharacterFamily(2, 12, dict(bad.members), other.memo)
-        assert verify_family(shared) == cold_report(bad)
+        assert verify_family(bad) == cold_report(bad)
+        rows = [rigidity._reference(2, b)[0] for b in (10, 12)]
+        assert [len(r) for r in rows] == [len(rigidity._layout(2, b).rows) for b in (10, 12)]
 
     def test_returned_lists_are_the_callers(self):
-        bad = perturb_family(true_family(2, 10), w(1, 1), w(0, 0), 1)
-        violations, _ = check_duality_condition(bad)  # the cold check
+        truth = true_family(2, 10)
+        bad = perturb_family(truth, w(1, 1), w(0, 0), 1)
+        violations, _ = check_duality_condition(bad, truth)
         expected = list(violations)
         violations.clear()
         row = extract_structure_constants(bad, w(1, 0), w(0, 1))
         row[w(0, 0)] = 99
-        again, _ = check_duality_condition(bad)
+        again, _ = check_duality_condition(bad, truth)
         assert again == expected
         again.append(again[0])
         child = perturb_family(bad, w(2, 0), w(0, 1), 1)
-        assert check_duality_condition(child)[0] == cold_report(child).duality_violations
-        assert check_duality_condition(bad)[0] == expected
+        assert check_duality_condition(child, truth)[0] == cold_report(child).duality_violations
+        assert check_duality_condition(bad, truth)[0] == expected
+        assert check_duality_condition(truth, truth)[0] == []
 
 
-# both checks, each taking only the family: the support check reads the
-# true family on the same bound
+# both checks, each given the true family on the family's bound
 CHECKS = pytest.mark.parametrize(
     "check",
     [
         pytest.param(
-            lambda fam: check_support_condition(fam, true_family(fam.rank, fam.bound)),
-            id="check_support_condition",
-        ),
-        check_duality_condition,
+            lambda fam: check(fam, true_family(fam.rank, fam.bound)), id=check.__name__
+        )
+        for check in (check_support_condition, check_duality_condition)
     ],
 )
 
@@ -618,6 +710,7 @@ class TestLayout:
         for family in sweep_families(true_family(l, bound)):
             warm = verify_family(family)
             rigidity._layout.cache_clear()
+            rigidity._reference.cache_clear()
             assert verify_family(family) == warm
 
 
