@@ -193,17 +193,6 @@ def rho(l: int) -> Eps:
     return tuple(range(l, -1, -1))
 
 
-def pairing(x, y) -> int:
-    """Plain integer dot product.
-
-    Shift-safe whenever one argument sums to zero (every root does);
-    otherwise the caller must pass sum-aligned representatives.
-    """
-    if len(x) != len(y):
-        raise ValueError("rank mismatch")
-    return sum(a * b for a, b in zip(x, y))
-
-
 def height(eps: Eps) -> int:
     """Pairing of the canonical representative with twice the Weyl vector.
 

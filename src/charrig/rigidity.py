@@ -11,13 +11,15 @@ condition and the tensor duality condition.
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, so _layout computes them once per
 (rank, bound): one row per unordered pair, the dual slot of each triple
-and the skipped triples.  Both checks compare a family with true_family,
-the family of true characters, and read again only what a member that
-differs from it changes.  Structure constants do not depend on the basis
-they are written in, so the duality check anchors on _reference, the
-true family's Brauer-Klimyk rows from tensor_decompose: a row that reads
-a changed member is rewritten through the character-basis expansion of
-the members that differ, and no ring product is formed.
+and the skipped triples.  What depends on the true characters' values
+is _reference, the one truth table per (rank, bound): the true family's
+Brauer-Klimyk rows from tensor_decompose and the rows that read each
+member.  lr_table is those rows.  Both checks compare a family with
+true_family, the family of true characters, and read again only what a
+member that differs from it changes.  Structure constants do not depend
+on the basis they are written in, so a row of the duality check that
+reads a changed member is rewritten through the character-basis
+expansion of the members that differ, and no ring product is formed.
 extract_structure_constants is the product route, and the tests'
 reference for those rows.
 """
@@ -187,14 +189,19 @@ def lr_oracle(l: int, cache_dir: str | None = None):
 def lr_table(l: int, bound: int, cache_dir: str | None = None) -> dict:
     """Full table {(mu, nu, lam): value} of Littlewood-Richardson
     coefficients for all nonzero dominant pairs whose sum stays in
-    bound, zeros included (so absence genuinely means missing): lr_oracle
-    over the layout's pairs, each row over the saturated set of mu + nu."""
-    query = lr_oracle(l, cache_dir)
+    bound, zeros included (so absence genuinely means missing): the
+    _reference row of each of the layout's pairs, over the saturated set
+    of mu + nu.  Each factor's character is fetched through cache_dir
+    first, so the directory gets exactly the factors' files."""
+    layout = _layout(l, bound)
+    # the zero weight is the only all-zero key; pairs holds both orders,
+    # so its first factors are all the factors
+    pairs = [(mu, nu) for mu, nu, _ in layout.pairs if any(mu) and any(nu)]
+    for mu in dict.fromkeys(mu for mu, _ in pairs):
+        freudenthal_character(l, mu, cache_dir)
+    rows, _ = _reference(l, bound)
     return {
-        (mu, nu, s): query(mu, nu, s)
-        for mu, nu, lam0 in _layout(l, bound).pairs
-        if any(mu) and any(nu)  # the zero weight is the only all-zero key
-        for s in saturated_dominants(lam0)
+        (mu, nu, s): n for mu, nu in pairs for s, n in rows[layout.slots[mu, nu]].items()
     }
 
 
@@ -262,11 +269,10 @@ class _Layout(NamedTuple):
     (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
     those triples (mu, nu, lam), in the order the pairs give them.
 
-    readers and users invert those indices.  The row of slot (a, b,
-    weights) reads the members a, b and those of weights, so readers[lam]
-    lists, in ascending order, the slots whose row reads member lam;
-    users[slot] lists, in ascending order, the indices into pairs whose
-    comparisons read that slot, as their own row or as a dual slot."""
+    users inverts duals: users[slot] lists, in ascending order, the
+    indices into pairs whose comparisons read that slot, as their own
+    row or as a dual slot.  Which rows read a member depends on the
+    truth's values, so _reference holds that index."""
 
     pairs: tuple[tuple[Eps, Eps, Eps], ...]  # (a, b, a + b), a + b in bound
     # lam: the mu in its saturated set where lam - mu misses a simple
@@ -276,7 +282,6 @@ class _Layout(NamedTuple):
     slots: dict[tuple[Eps, Eps], int]
     duals: tuple[tuple[int, tuple[int | None, ...]], ...]
     skipped: tuple[tuple[Eps, Eps, Eps], ...]
-    readers: dict[Eps, tuple[int, ...]]
     users: tuple[tuple[int, ...], ...]
 
 
@@ -318,10 +323,6 @@ def _layout(l: int, bound: int) -> _Layout:
         if None in slots:
             skipped += [(mu, nu, lam) for lam, k in zip(weights, slots) if k is None]
         duals.append((slot[mu, nu], slots))
-    readers: dict[Eps, list[int]] = {lam: [] for lam in index}
-    for k, (a, b, weights) in enumerate(rows):
-        for lam in {a, b, *weights}:
-            readers[lam].append(k)
     users: list[list[int]] = [[] for _ in rows]
     for i, (k, slots) in enumerate(duals):
         for s in {k, *slots} - {None}:
@@ -333,7 +334,6 @@ def _layout(l: int, bound: int) -> _Layout:
         slot,
         tuple(duals),
         tuple(skipped),
-        {lam: tuple(ks) for lam, ks in readers.items()},
         tuple(map(tuple, users)),
     )
 
@@ -367,18 +367,27 @@ def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> lis
 
 
 @functools.cache
-def _reference(l: int, bound: int) -> tuple[tuple[dict, ...], tuple]:
-    """The true family's duality state on the layout of (l, bound): its
-    row at each slot, tensor_decompose over the slot's weights with zeros
-    included, and each pair's violations or None.  Like the layout, it is
-    kept for the life of the process."""
+def _reference(l: int, bound: int) -> tuple[tuple[dict, ...], dict]:
+    """The one truth table of (l, bound): the true family's row at each
+    slot of the layout, tensor_decompose over the slot's weights with
+    zeros included, and readers[lam], the ascending slots whose row reads
+    member lam, as one of its two factors or at a nonzero coefficient.
+
+    Like the layout, it is kept for the life of the process, and
+    oracle.clear_memo() leaves it in place.  That is exact: the rows are
+    Littlewood-Richardson coefficients, fixed by (l, bound), and a
+    recomputed character gives the same rows.  Only a character read
+    from a cache file whose lower multiplicities were edited, which the
+    loader does not detect, makes the memo disagree with the truth."""
     layout = _layout(l, bound)
     rows = []
-    for a, b, weights in layout.rows:
+    readers: dict[Eps, list[int]] = {lam: [] for lam in layout.sites}
+    for k, (a, b, weights) in enumerate(layout.rows):
         row = tensor_decompose(l, a, b)
         rows.append({t: row.get(t, 0) for t in weights})
-    found = tuple(_pair_violations(layout, i, rows) for i in range(len(layout.pairs)))
-    return tuple(rows), found
+        for lam in {a, b, *row}:
+            readers[lam].append(k)
+    return tuple(rows), {lam: tuple(ks) for lam, ks in readers.items()}
 
 
 def check_duality_condition(
@@ -394,14 +403,14 @@ def check_duality_condition(
     when the index set is not the dominant weights in bound.
 
     Each row is the truth's unless it reads a member that differs from
-    the truth's, as a factor or at a nonzero coefficient of the truth's
-    row.  Such a row is rebuilt in the character basis: with D_t the
-    decomposition of a member that differs and {t: 1} for any other,
+    the truth's.  Such a row is rebuilt in the character basis: with D_t
+    the decomposition of a member that differs and {t: 1} for any other,
     f_a * f_b is the sum over s, r of D_a[s] * D_b[r] times the truth's
-    row of (s, r), and ring.expand writes it in the basis D.  Only the
-    pairs that read a rebuilt row are compared again."""
+    row of (s, r), and ring.expand writes it in the basis D.  The truth's
+    rows satisfy the identity (c^lam_{mu nu} = c^mu_{lam nu*}), so only
+    the pairs that read a rebuilt row are compared."""
     layout = _family_layout(fam)
-    ref, found = _reference(fam.rank, fam.bound)
+    ref, readers = _reference(fam.rank, fam.bound)
     changed = {
         lam: decompose(f)
         for lam, f in fam.members.items()
@@ -414,13 +423,8 @@ def check_duality_condition(
     # top-down, a row whose factors are the truth's reads basis(lam) only
     # where its coefficient at lam is nonzero, so it is the truth's row
     # while every changed member's coefficient there is 0
-    stale = {
-        k
-        for lam in changed
-        for k in layout.readers[lam]
-        if lam in layout.rows[k][:2] or ref[k][lam]
-    }
-    rows, found = list(ref), list(found)
+    stale = {k for lam in changed for k in readers[lam]}
+    rows = list(ref)
     for k in stale:
         a, b, weights = layout.rows[k]
         terms: dict[Eps, int] = {}
@@ -430,14 +434,13 @@ def check_duality_condition(
                 for t, n in ref[layout.slots[s, r]].items():
                     terms[t] = terms.get(t, 0) + c * n
         rows[k] = expand(terms, weights, basis)
-    for i in {i for k in stale for i in layout.users[k]}:
-        found[i] = _pair_violations(layout, i, rows)
-    return [v for vs in found if vs for v in vs], list(layout.skipped)
+    rerun = sorted({i for k in stale for i in layout.users[k]})
+    return [v for i in rerun for v in _pair_violations(layout, i, rows)], list(layout.skipped)
 
 
-def _pair_violations(layout: _Layout, i: int, rows: list) -> list[tuple] | None:
+def _pair_violations(layout: _Layout, i: int, rows: list) -> list[tuple]:
     """The violations of the i-th pair of the layout, in the order of its
-    saturated set, or None when it has none."""
+    saturated set."""
     mu, nu, lam0 = layout.pairs[i]
     k, slots = layout.duals[i]
     out = []
@@ -447,7 +450,7 @@ def _pair_violations(layout: _Layout, i: int, rows: list) -> list[tuple] | None:
             rhs = rows[dual].get(mu, 0)
             if lhs != rhs:
                 out.append((mu, nu, lam, lhs, rhs))
-    return out or None
+    return out
 
 
 @dataclass

@@ -18,7 +18,6 @@ from charrig.lattice import (
     is_dominant,
     orbit,
     orbit_size,
-    pairing,
     processing_key,
     rho,
     root_coordinates,
@@ -88,7 +87,7 @@ class TestPrimitives:
         assert canonical(a) == tuple(x - m for x in a)
         s = tuple(x + y for x, y in zip(a, b))
         assert add(a, b) == tuple(x - min(s) for x in s)
-        assert height(a) == 2 * pairing(tuple(x - m for x in a), rho(l))
+        assert height(a) == 2 * sum((x - m) * r for x, r in zip(a, rho(l)))
         assert height(list(a)) == height(a)
 
     def test_add_rank_mismatch(self):
@@ -253,19 +252,12 @@ class TestRootData:
     def test_rho(self):
         assert rho(2) == (2, 1, 0)
 
-    def test_pairing(self):
-        assert pairing((2, 1, 0), (1, -1, 0)) == 1
-
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_simple_roots_have_square_length_two(self, l):
         for i in range(l):
             alpha = tuple((k == i) - (k == i + 1) for k in range(l + 1))  # e_i - e_{i+1}
             assert support_size(root_coordinates(canonical(alpha), zero_weight(l))) == 1
-            assert pairing(alpha, alpha) == 2
-
-    def test_pairing_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pairing((1, 0), (1, 0, 0))
+            assert sum(x * x for x in alpha) == 2
 
 
 class TestEnumeration:

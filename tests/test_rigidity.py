@@ -2,12 +2,13 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charrig import rigidity
+from charrig import oracle, rigidity
 from charrig.lattice import (
     add,
     dominant_weights_up_to,
@@ -249,15 +250,47 @@ class TestLRTable:
         assert lr_table(l, bound) == expected
 
     def test_one_tensor_decompose_per_unordered_pair(self, monkeypatch):
+        # the table reads the reference rows, one tensor_decompose per
+        # row of the layout, built once for the table and the checks alike
         calls = []
 
         def counted(l, mu, nu, cache_dir=None):
             calls.append(tuple(sorted((mu, nu))))
             return tensor_decompose(l, mu, nu, cache_dir)
 
+        def forbidden(*args):
+            raise AssertionError("lr_table must read the reference rows")
+
         monkeypatch.setattr(rigidity, "tensor_decompose", counted)
+        monkeypatch.setattr(rigidity, "lr_oracle", forbidden)
+        rigidity._reference.cache_clear()
         table = lr_table(2, 16)
-        assert len(calls) == len(set(calls)) == len({tuple(sorted(k[:2])) for k in table})
+        rows = rigidity._layout(2, 16).rows
+        assert len(calls) == len(set(calls)) == len(rows)
+        assert set(calls) == {tuple(sorted((a, b))) for a, b, _ in rows}
+        assert {tuple(sorted(k[:2])) for k in table} < set(calls)
+        calls.clear()
+        truth = true_family(2, 16)
+        assert lr_table(2, 16) == table
+        assert check_duality_condition(truth, truth)[0] == []
+        assert calls == []
+
+    def test_equals_the_oracle_route_and_writes_the_factors_files(self, tmp_path):
+        # the reference outlives the memo, so only the explicit fetch
+        # writes the factors' cache files
+        rigidity._reference(2, 12)
+        oracle.clear_memo()
+        table = lr_table(2, 12, str(tmp_path))
+        pairs = [(mu, nu, lam0) for mu, nu, lam0 in rigidity._layout(2, 12).pairs if any(mu) and any(nu)]
+        factors = {mu for mu, _, _ in pairs}
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(oracle._cache_path(str(tmp_path), 2, mu)) for mu in factors
+        )
+        query = lr_oracle(2)
+        expected = [
+            ((mu, nu, s), query(mu, nu, s)) for mu, nu, lam0 in pairs for s in saturated_dominants(lam0)
+        ]
+        assert list(table.items()) == expected
 
     def test_forms_no_product_and_no_family(self, monkeypatch):
         expected = {l: enumerated_lr_table(l, 16) for l in (2, 3)}
@@ -416,8 +449,9 @@ class TestDualityCondition:
 
 
 class TestProductMemo:
-    """_reference: the true family's rows and each pair's violations,
-    kept once per (rank, bound) for the duality check of every family."""
+    """_reference: the true family's rows and the rows that read each
+    member, kept once per (rank, bound) for lr_table and the duality
+    check of every family."""
 
     def test_one_entry_per_rank_and_bound(self):
         rigidity._reference.cache_clear()
@@ -432,11 +466,24 @@ class TestProductMemo:
             check_duality_condition(fam, truth)
         assert rigidity._reference.cache_info().currsize == 2
         for bound in (10, 12):
-            rows, found = rigidity._reference(2, bound)
+            rows, readers = rigidity._reference(2, bound)
             layout = rigidity._layout(2, bound)
             assert [list(row) for row in rows] == [list(weights) for _, _, weights in layout.rows]
-            assert len(found) == len(layout.pairs)
-            assert not any(found)
+            assert readers == {
+                lam: tuple(
+                    k for k, (a, b, _) in enumerate(layout.rows) if lam in (a, b) or rows[k].get(lam)
+                )
+                for lam in layout.sites
+            }
+
+    @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30), (4, 36), (5, 40)])
+    def test_truths_rows_satisfy_the_duality_identity(self, l, bound):
+        # c^lam_{mu nu} = c^mu_{lam nu*}: the check compares only the pairs
+        # that read a rebuilt row, since the truth's rows have no violation
+        layout = rigidity._layout(l, bound)
+        rows, _ = rigidity._reference(l, bound)
+        for i in range(len(layout.pairs)):
+            assert rigidity._pair_violations(layout, i, rows) == []
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 16), (3, 16), (4, 16)])
     def test_rows_are_the_truths_structure_constants(self, l, bound):
@@ -451,13 +498,13 @@ class TestProductMemo:
         truth = true_family(2, 10)
         check_duality_condition(truth, truth)
         state = rigidity._reference(2, 10)
-        rows, found = [dict(row) for row in state[0]], list(state[1])
+        rows, readers = [dict(row) for row in state[0]], dict(state[1])
         child = perturb_family(truth, w(1, 1), w(0, 0), 1)
         verify_family(child)
         verify_family(child)
         extract_structure_constants(child, w(1, 0), w(0, 1))
         assert rigidity._reference(2, 10) is state
-        assert list(state[0]) == rows and list(state[1]) == found
+        assert list(state[0]) == rows and state[1] == readers
 
     def test_child_checked_first_leaves_the_state(self, built_rows):
         lam = w(1, 1)
@@ -467,7 +514,8 @@ class TestProductMemo:
         expected = rows_reading(truth, lam)
         built_rows.clear()
         report = verify_family(child)
-        assert len(built_rows) == expected < len(rigidity._layout(2, 12).readers[lam])
+        assert len(built_rows) == expected == len(rigidity._reference(2, 12)[1][lam])
+        assert expected < rows_holding(2, 12, lam)
         built_rows.clear()
         parent_report = verify_family(truth)
         assert built_rows == []
@@ -508,6 +556,12 @@ def rows_reading(fam, lam):
         for a, b, weights in rigidity._layout(fam.rank, fam.bound).rows
         if lam in weights or lam in (a, b)
     )
+
+
+def rows_holding(l, bound, lam):
+    """How many rows of the layout hold member lam, as a factor or in
+    their saturated set, read at a nonzero coefficient or not."""
+    return sum(lam in (a, b) or lam in weights for a, b, weights in rigidity._layout(l, bound).rows)
 
 
 @pytest.fixture
@@ -624,10 +678,11 @@ class TestDualityState:
     def test_child_builds_only_the_rows_reading_its_member(self, built_rows, lam, mu):
         # a row whose factors are the truth's is rebuilt only where the
         # truth's row reads the changed member at a nonzero coefficient:
-        # fewer than its readers
+        # fewer than the rows that hold it
         truth = true_family(2, 24)
         expected = rows_reading(truth, lam)
-        assert expected < len(rigidity._layout(2, 24).readers[lam])
+        assert expected == len(rigidity._reference(2, 24)[1][lam])
+        assert expected < rows_holding(2, 24, lam)
         child = perturb_family(truth, lam, mu, 1)
         built_rows.clear()
         report = verify_family(child)
