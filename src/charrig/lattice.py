@@ -11,11 +11,11 @@ All arithmetic is plain integer arithmetic; there is no rational Cartan
 matrix inversion anywhere.
 """
 
+import bisect
 import functools
 import math
 import operator
 from collections import Counter
-from itertools import permutations
 
 Eps = tuple[int, ...]
 
@@ -77,8 +77,20 @@ def add(a: Eps, b: Eps) -> Eps:
 
 @functools.cache
 def orbit(d: Eps) -> frozenset[Eps]:
-    """All distinct coordinate permutations (each still canonical)."""
-    return frozenset(permutations(d))
+    """All distinct coordinate permutations (each still canonical), each
+    built once, in lexicographic order from the ascending sort."""
+    p = sorted(d)
+    out = [tuple(p)]
+    while True:
+        i = len(p) - 2  # the rightmost ascent p[i] < p[i + 1]
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return frozenset(out)
+        p[i + 1 :] = p[:i:-1]  # the tail, ascending
+        j = bisect.bisect_right(p, p[i], i + 1)
+        p[i], p[j] = p[j], p[i]
+        out.append(tuple(p))
 
 
 @functools.cache

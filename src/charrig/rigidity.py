@@ -10,18 +10,18 @@ condition and the tensor duality condition.
 
 Which pairs, triples and small-support sites the two checks read depends
 only on the rank and the height bound, so _layout computes them once per
-(rank, bound): one row per unordered pair, the dual slot of each triple
-and the skipped triples.  What depends on the true characters' values
-is _reference, the one truth table per (rank, bound): the true family's
-Brauer-Klimyk rows from tensor_decompose and the rows that read each
-member.  lr_table is those rows.  Both checks compare a family with
-true_family, the family of true characters, and read again only what a
-member that differs from it changes.  Structure constants do not depend
-on the basis they are written in, so a row of the duality check that
-reads a changed member is rewritten through the character-basis
-expansion of the members that differ, and no ring product is formed.
-extract_structure_constants is the product route, and the tests'
-reference for those rows.
+(rank, bound): one row per unordered pair, one record per ordered pair
+with its row's slot and its triples' dual slots, and the skipped triples.
+What depends on the true characters' values is _reference, the one truth
+table per (rank, bound): the true family's Brauer-Klimyk rows from
+tensor_decompose and the rows that read each member.  lr_table is those
+rows.  Both checks compare a family with true_family, the family of true
+characters, and read again only what a member that differs from it
+changes.  Structure constants do not depend on the basis they are
+written in, so a row of the duality check that reads a changed member
+is rewritten through the character-basis expansion of the members that
+differ, and no ring product is formed.  extract_structure_constants is
+the product route, and the tests' reference for those rows.
 """
 
 import functools
@@ -190,19 +190,17 @@ def lr_table(l: int, bound: int, cache_dir: str | None = None) -> dict:
     """Full table {(mu, nu, lam): value} of Littlewood-Richardson
     coefficients for all nonzero dominant pairs whose sum stays in
     bound, zeros included (so absence genuinely means missing): the
-    _reference row of each of the layout's pairs, over the saturated set
-    of mu + nu.  Each factor's character is fetched through cache_dir
-    first, so the directory gets exactly the factors' files."""
+    _reference row in the slot of each of the layout's pairs, over the
+    saturated set of mu + nu.  Each factor's character is fetched
+    through cache_dir first, so the directory gets exactly their files."""
     layout = _layout(l, bound)
-    # the zero weight is the only all-zero key; pairs holds both orders,
+    # the zero weight is the only all-zero key; slots holds both orders,
     # so its first factors are all the factors
-    pairs = [(mu, nu) for mu, nu, _ in layout.pairs if any(mu) and any(nu)]
-    for mu in dict.fromkeys(mu for mu, _ in pairs):
+    slots = {(mu, nu): k for (mu, nu), k in layout.slots.items() if any(mu) and any(nu)}
+    for mu in dict.fromkeys(mu for mu, _ in slots):
         freudenthal_character(l, mu, cache_dir)
     rows, _ = _reference(l, bound)
-    return {
-        (mu, nu, s): n for mu, nu in pairs for s, n in rows[layout.slots[mu, nu]].items()
-    }
+    return {(mu, nu, s): n for (mu, nu), k in slots.items() for s, n in rows[k].items()}
 
 
 def table_oracle(entries: dict):
@@ -262,25 +260,25 @@ class _Layout(NamedTuple):
     none of it the members themselves.
 
     A slot is an index into rows, which holds one (a, b, Pi+(a + b)) per
-    unordered pair, in the order pairs first meets it, and slots maps
-    both orders of each pair to its slot.  For the k-th pair
-    (mu, nu, lam0), duals[k] is the slot of (mu, nu) and, for each lam of
-    saturated_dominants(lam0) in order, the slot of the dual pair
-    (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
-    those triples (mu, nu, lam), in the order the pairs give them.
+    unordered pair, in the order the ordered pairs first meet it, and
+    slots maps both orders of each pair to its slot.  pairs holds one
+    record (mu, nu, k, duals) per ordered pair with mu + nu in bound: k
+    is the slot of (mu, nu) and, for each lam of rows[k]'s weights in
+    order, duals holds the slot of the dual pair (lam, nu*), or None
+    when lam + nu* leaves the bound; skipped lists those triples
+    (mu, nu, lam), in the order the pairs give them.
 
-    users inverts duals: users[slot] lists, in ascending order, the
-    indices into pairs whose comparisons read that slot, as their own
-    row or as a dual slot.  Which rows read a member depends on the
-    truth's values, so _reference holds that index."""
+    users[slot] lists, in ascending order, the indices into pairs whose
+    comparisons read that slot, as their own row or as a dual slot.
+    Which rows read a member depends on the truth's values, so
+    _reference holds that index."""
 
-    pairs: tuple[tuple[Eps, Eps, Eps], ...]  # (a, b, a + b), a + b in bound
+    pairs: tuple[tuple[Eps, Eps, int, tuple[int | None, ...]], ...]
     # lam: the mu in its saturated set where lam - mu misses a simple
     # root, keyed by the index set in index_set() order
     sites: dict[Eps, tuple[Eps, ...]]
     rows: tuple[tuple[Eps, Eps, tuple[Eps, ...]], ...]
     slots: dict[tuple[Eps, Eps], int]
-    duals: tuple[tuple[int, tuple[int | None, ...]], ...]
     skipped: tuple[tuple[Eps, Eps, Eps], ...]
     users: tuple[tuple[int, ...], ...]
 
@@ -291,7 +289,6 @@ def _layout(l: int, bound: int) -> _Layout:
     inside = set(index)
     # index ascends by height and height is additive on dominant weights,
     # so the first b out of bound ends a's pairs
-    pairs = []
     rows = []
     slot: dict[tuple[Eps, Eps], int] = {}  # (a, b): the index of its row
     for a in index:
@@ -299,7 +296,6 @@ def _layout(l: int, bound: int) -> _Layout:
             lam0 = add(a, b)
             if lam0 not in inside:
                 break
-            pairs.append((a, b, lam0))
             # the product commutes, so (b, a) reads the row of (a, b)
             if (b, a) in slot:
                 slot[a, b] = slot[b, a]
@@ -314,25 +310,23 @@ def _layout(l: int, bound: int) -> _Layout:
         )
         for lam in index
     }
-    duals = []
+    pairs = []
     skipped = []
-    for mu, nu, lam0 in pairs:
-        nw = dual_weight(nu)
-        weights = saturated_dominants(lam0)
-        slots = tuple(map(slot.get, zip(weights, itertools.repeat(nw))))
-        if None in slots:
-            skipped += [(mu, nu, lam) for lam, k in zip(weights, slots) if k is None]
-        duals.append((slot[mu, nu], slots))
     users: list[list[int]] = [[] for _ in rows]
-    for i, (k, slots) in enumerate(duals):
-        for s in {k, *slots} - {None}:
+    # slot holds every ordered pair once, in pair order
+    for i, ((mu, nu), k) in enumerate(slot.items()):
+        weights = rows[k][2]
+        duals = tuple(map(slot.get, zip(weights, itertools.repeat(dual_weight(nu)))))
+        if None in duals:
+            skipped += [(mu, nu, lam) for lam, d in zip(weights, duals) if d is None]
+        pairs.append((mu, nu, k, duals))
+        for s in {k, *duals} - {None}:
             users[s].append(i)
     return _Layout(
         tuple(pairs),
         sites,
         tuple(rows),
         slot,
-        tuple(duals),
         tuple(skipped),
         tuple(map(tuple, users)),
     )
@@ -434,23 +428,16 @@ def check_duality_condition(
                 for t, n in ref[layout.slots[s, r]].items():
                     terms[t] = terms.get(t, 0) + c * n
         rows[k] = expand(terms, weights, basis)
-    rerun = sorted({i for k in stale for i in layout.users[k]})
-    return [v for i in rerun for v in _pair_violations(layout, i, rows)], list(layout.skipped)
-
-
-def _pair_violations(layout: _Layout, i: int, rows: list) -> list[tuple]:
-    """The violations of the i-th pair of the layout, in the order of its
-    saturated set."""
-    mu, nu, lam0 = layout.pairs[i]
-    k, slots = layout.duals[i]
-    out = []
-    # rows[k] and slots both follow saturated_dominants(lam0)
-    for lam, lhs, dual in zip(saturated_dominants(lam0), rows[k].values(), slots):
-        if dual is not None:
-            rhs = rows[dual].get(mu, 0)
-            if lhs != rhs:
-                out.append((mu, nu, lam, lhs, rhs))
-    return out
+    violations = []
+    for i in sorted({i for k in stale for i in layout.users[k]}):
+        mu, nu, k, duals = layout.pairs[i]
+        # rows[k] and duals both follow the row's weights
+        for lam, lhs, dual in zip(layout.rows[k][2], rows[k].values(), duals):
+            if dual is not None:
+                rhs = rows[dual].get(mu, 0)
+                if lhs != rhs:
+                    violations.append((mu, nu, lam, lhs, rhs))
+    return violations, list(layout.skipped)
 
 
 @dataclass

@@ -110,6 +110,19 @@ class TestOrbit:
     def test_size_matches_formula(self, d):
         assert len(orbit(d)) == orbit_size(d)
 
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_equals_the_deduplicated_permutations(self, l):
+        # every permutation, duplicates removed, is the reference
+        for d in dominant_weights_up_to(l, 60):
+            assert orbit(d) == frozenset(itertools.permutations(d))
+            assert len(orbit(d)) == orbit_size(d)
+
+    def test_high_rank_fundamental_orbit(self):
+        # (l + 1)! = 13! permutations would not finish; 13 are distinct
+        assert orbit(fundamental_weight(12, 1)) == {
+            tuple(int(i == j) for i in range(13)) for j in range(13)
+        }
+
 
 class TestDominance:
     def test_examples(self):

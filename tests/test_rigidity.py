@@ -281,7 +281,8 @@ class TestLRTable:
         rigidity._reference(2, 12)
         oracle.clear_memo()
         table = lr_table(2, 12, str(tmp_path))
-        pairs = [(mu, nu, lam0) for mu, nu, lam0 in rigidity._layout(2, 12).pairs if any(mu) and any(nu)]
+        index = dominant_weights_up_to(2, 12)[1:]
+        pairs = [(mu, nu, add(mu, nu)) for mu in index for nu in index if height(add(mu, nu)) <= 12]
         factors = {mu for mu, _, _ in pairs}
         assert sorted(os.listdir(tmp_path)) == sorted(
             os.path.basename(oracle._cache_path(str(tmp_path), 2, mu)) for mu in factors
@@ -482,8 +483,10 @@ class TestProductMemo:
         # that read a rebuilt row, since the truth's rows have no violation
         layout = rigidity._layout(l, bound)
         rows, _ = rigidity._reference(l, bound)
-        for i in range(len(layout.pairs)):
-            assert rigidity._pair_violations(layout, i, rows) == []
+        for mu, nu, k, duals in layout.pairs:
+            for lhs, dual in zip(rows[k].values(), duals, strict=True):
+                if dual is not None:
+                    assert lhs == rows[dual].get(mu, 0)
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 16), (3, 16), (4, 16)])
     def test_rows_are_the_truths_structure_constants(self, l, bound):
@@ -767,6 +770,32 @@ class TestLayout:
             rigidity._layout.cache_clear()
             rigidity._reference.cache_clear()
             assert verify_family(family) == warm
+
+    @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
+    def test_one_record_per_ordered_pair(self, l, bound):
+        # built again from add and dual_weight, in pair order, not from
+        # the order of the slots
+        layout = rigidity._layout(l, bound)
+        index = dominant_weights_up_to(l, bound)
+
+        def record(mu, nu):
+            weights = saturated_dominants(add(mu, nu))
+            assert layout.rows[layout.slots[mu, nu]] in ((mu, nu, weights), (nu, mu, weights))
+            duals = tuple(layout.slots.get((lam, dual_weight(nu))) for lam in weights)
+            return mu, nu, layout.slots[mu, nu], duals
+
+        records = [record(mu, nu) for mu in index for nu in index if height(add(mu, nu)) <= bound]
+        assert list(layout.pairs) == records
+        assert list(layout.skipped) == [
+            (mu, nu, lam)
+            for mu, nu, k, duals in records
+            for lam, dual in zip(layout.rows[k][2], duals)
+            if dual is None
+        ]
+        assert list(layout.users) == [
+            tuple(i for i, (_, _, k, duals) in enumerate(records) if slot in (k, *duals))
+            for slot in range(len(layout.rows))
+        ]
 
 
 class TestVerify:
