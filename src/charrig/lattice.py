@@ -54,6 +54,7 @@ def from_fundamental(l: int, coords) -> Eps:
     return canonical(tuple(eps))
 
 
+@functools.cache
 def fundamental_coords(eps: Eps) -> tuple[int, ...]:
     """Fundamental coordinates c_i = eps_i - eps_{i+1} (shift-invariant)."""
     return tuple(eps[i] - eps[i + 1] for i in range(len(eps) - 1))

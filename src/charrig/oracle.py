@@ -19,7 +19,10 @@ persistent JSON spill of the same tables, each file written atomically
 saturated dominants of its weight in processing order, with positive
 JSON integer multiplicities, 1 first; any other file is discarded and
 recomputed.  A lower multiplicity changed to another positive integer
-is not detected.
+is not detected.  Each (rank, weight) keeps one record of its file's
+name and the mu rows a valid file lists, a pure function of the weight
+that outlives clear_memo; every read still opens, parses and checks the
+file.
 """
 
 import contextlib
@@ -38,27 +41,40 @@ from .lattice import (
     rho,
     saturated_dominants,
 )
-from .ring import CharElement, expand, sorted_terms
+from .ring import CharElement, expand
 
 _MEMO: dict[tuple[int, Eps], CharElement] = {}
+_FILES: dict[tuple[int, Eps], tuple[str, list[list[int]]]] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
 
 
-def _cache_path(cache_dir: str, l: int, lam: Eps) -> str:
-    name = f"A{l}_" + "-".join(str(c) for c in fundamental_coords(lam)) + ".json"
-    return os.path.join(cache_dir, name)
+def _cache_file(l: int, doms: tuple[Eps, ...]) -> tuple[str, list[list[int]]]:
+    """The cache file name of doms[0], whose saturated set is doms, and
+    the mu rows its file lists: doms in fundamental coordinates.  A pure
+    function of the weight, kept once per (rank, weight) across
+    clear_memo; it holds nothing read from a file."""
+    key = (l, doms[0])
+    try:
+        return _FILES[key]
+    except KeyError:
+        rows = [list(fundamental_coords(mu)) for mu in doms]
+        name = f"A{l}_" + "-".join(map(str, rows[0])) + ".json"
+        _FILES[key] = (name, rows)
+        return name, rows
 
 
 def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement | None:
     """The character of doms[0], whose saturated set is doms, read from
     its cache file; None when the file is missing or invalid."""
-    path = _cache_path(cache_dir, l, doms[0])
+    name, expected = _cache_file(l, doms)
     try:
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)["terms"]
+        # bytes decoded as UTF-8 parse as the text-mode read does: JSON's
+        # only newlines are whitespace; a BOM or a bad byte is a ValueError
+        with open(os.path.join(cache_dir, name), "rb") as fh:
+            rows = json.loads(fh.read().decode("utf-8"))["terms"]
         coords = [row["mu"] for row in rows]
         mults = [row["coeff"] for row in rows]
     except (OSError, ValueError, KeyError, TypeError):
@@ -66,25 +82,25 @@ def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement |
     # a true character is its multiplicities over the saturated set, so a
     # file can validly list only that set, in processing order; the types
     # are tested too, since [True, 0] == [1.0, 0] == [1, 0].
-    if coords != [list(fundamental_coords(mu)) for mu in doms] or any(
+    if coords != expected or any(
         type(x) is not int for x in [*(c for mu in coords for c in mu), *mults]
     ):
         return None
     if mults[0] != 1 or min(mults) < 1:
         return None
-    return CharElement(l, dict(zip(doms, mults)))
+    return CharElement._canonical(l, dict(zip(doms, mults)))
 
 
-def _store_cached(cache_dir: str, l: int, lam: Eps, elem: CharElement) -> None:
+def _store_cached(cache_dir: str, l: int, doms: tuple[Eps, ...], elem: CharElement) -> None:
+    """Write elem, the character of doms[0], whose terms are doms in
+    order, to its cache file."""
+    name, rows = _cache_file(l, doms)
     doc = {
         "rank": l,
-        "lambda": list(fundamental_coords(lam)),
-        "terms": [
-            {"mu": list(fundamental_coords(mu)), "coeff": c}
-            for mu, c in sorted_terms(elem.terms)
-        ],
+        "lambda": rows[0],
+        "terms": [{"mu": mu, "coeff": c} for mu, c in zip(rows, elem.terms.values())],
     }
-    path = _cache_path(cache_dir, l, lam)
+    path = os.path.join(cache_dir, name)
     tmp = f"{path}.{os.getpid()}.tmp"  # never matches a cache name
     try:
         os.makedirs(cache_dir, exist_ok=True)
@@ -111,7 +127,10 @@ def _checked_dominant(l: int, lam: Eps) -> Eps:
 
 def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> CharElement:
     """The formal character of the highest-weight module with highest
-    weight lam, as {mu: multiplicity} over the saturated dominants."""
+    weight lam, as {mu: multiplicity} over the saturated dominants.
+
+    A memo hit returns before cache_dir is looked at, so a directory
+    receives only the characters first computed with it in the process."""
     try:
         return _MEMO[l, lam]  # every key holds a checked canonical weight
     except (KeyError, TypeError):  # a miss, or an unhashable weight such as a list
@@ -164,7 +183,7 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
     elem = CharElement(l, dict(zip(doms, mults.values())))
     _MEMO[key] = elem
     if cache_dir:
-        _store_cached(cache_dir, l, lam, elem)
+        _store_cached(cache_dir, l, doms, elem)
     return elem
 
 

@@ -2,9 +2,12 @@
 
 Both formats are JSON documents with weights written as fundamental
 coordinate arrays, entries sorted by the processing order, so that a
-load/dump round trip is byte-exact.
+load/dump round trip is byte-exact.  dump_doc writes exactly the bytes
+of json.dumps(doc, indent=2) and a newline, with a writer that skips the
+pure-Python encoder the indent option selects.
 """
 
+import functools
 import json
 
 from .lattice import Eps, from_fundamental, fundamental_coords, processing_key
@@ -26,11 +29,56 @@ def parse_weight(l: int, arr) -> Eps:
         raise FormatError(f"bad weight {arr!r} for rank {l}")
     if any(c < 0 for c in arr):
         raise FormatError(f"weight {arr!r} is not dominant")
-    return from_fundamental(l, arr)
+    return _weight(tuple(arr))
+
+
+@functools.cache
+def _weight(coords: tuple[int, ...]) -> Eps:
+    return from_fundamental(len(coords), coords)
+
+
+_quote = json.encoder.encode_basestring_ascii  # json's C string encoder
 
 
 def dump_doc(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as the text json.dumps(doc, indent=2) + "\\n" gives; its keys
+    are strings, as in every document written here."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl: str, out: list[str]) -> None:
+    """Append x's JSON to out, its lines after the first starting with nl."""
+    if isinstance(x, str):
+        out.append(_quote(x))
+    elif type(x) is int:
+        out.append(int.__repr__(x))  # json's own rule for an int
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            out.append(sep + _quote(k) + ": ")
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(x))
 
 
 def terms_doc(f: CharElement) -> list[dict]:

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
+
+import charrig
 
 
 def run(*args, env=None):
@@ -352,6 +355,44 @@ def test_reconstruct_diff_bytes_unchanged(tmp_path):
     assert stdout_sha256(
         "reconstruct", "--rank", "2", "--bound", "12", "--oracle", "file", "--table", str(table)
     ) == (1, "78e43972f24032e4a8464ee3a08e21cd05711c4f35a74caff9cf831a9f54fec2")
+
+
+# perturb at A2/12, run in an empty directory with a relative --out that
+# the JSON on standard output echoes: SHA-256 of standard output and of the
+# written family, recorded at commit 5122efd.  The last --out holds a
+# non-ASCII character and double quotes, so the escaped string is pinned.
+PERTURB_SHA256 = {
+    "--site 2,0:0,1 --delta -2 --out fam.json": (
+        "d801b0940359b20a55b314d6c6add6fffc424afb03981a92129528e90d93322e",
+        "32c08a6d245e5459a67aef54966440742c1f9460bddd604efb89ecee8ac726b1",
+    ),
+    "--seed 7 --count 2 --out fam.json": (
+        "da122c6b2abb76459ef7ce70c730b02ad6a1759e9e4d729409bd88fc48fa896f",
+        "a641917638fb2c551ee72e4b7fc3afdeff890ac20ff7f5ca5ec57ab4d5d19b08",
+    ),
+    '--seed 3 --out "f\u00fc".json': (
+        "1c645dd6db6a27dca20ae80a2c6360e7e71ffb55b136131ce3201573dedd790c",
+        "67d8d62b10f100f04faa8a52918cc2f45df21867f8b5c6a94e2dcb74de394e21",
+    ),
+}
+
+
+@pytest.mark.parametrize("options", list(PERTURB_SHA256))
+def test_perturb_output_bytes_unchanged(tmp_path, options):
+    args = options.split()
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charrig.__file__)))
+    res = subprocess.run(
+        [sys.executable, "-m", "charrig", "perturb", "--rank", "2", "--bound", "12", *args],
+        capture_output=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0
+    written = (tmp_path / args[-1]).read_bytes()
+    assert (
+        hashlib.sha256(res.stdout).hexdigest(),
+        hashlib.sha256(written).hexdigest(),
+    ) == PERTURB_SHA256[options]
 
 
 @pytest.mark.parametrize("module", ["lattice", "ring", "oracle", "rigidity", "serialize", "cli"])

@@ -315,10 +315,10 @@ class TestLRIdentities:
                 assert dual_row.get(mu, 0) == c
 
 
-def assert_rejected_and_rewritten(tmp_path, tamper):
-    """A cache file edited by tamper is discarded: the character is
-    recomputed and written back, so the file's bytes show the rejection
-    even where the coerced values were right."""
+def assert_file_rejected(tmp_path, edit):
+    """A cache file whose bytes edit changes is discarded: the character
+    is recomputed and written back, so the file's bytes show the
+    rejection even where the coerced values were right."""
     from charrig import oracle
 
     lam = w(2, 2, 2)
@@ -326,13 +326,33 @@ def assert_rejected_and_rewritten(tmp_path, tamper):
     oracle.clear_memo()
     good = freudenthal_character(2, lam, cache_dir=d)
     (path,) = list(tmp_path.iterdir())
-    text = path.read_text()
-    doc = json.loads(text)
-    tamper(doc["terms"])
-    path.write_text(json.dumps(doc))
+    data = path.read_bytes()
+    path.write_bytes(edit(data))
     oracle.clear_memo()
     assert freudenthal_character(2, lam, cache_dir=d) == good
-    assert path.read_text() == text
+    assert path.read_bytes() == data
+
+
+def assert_rejected_and_rewritten(tmp_path, tamper):
+    """As assert_file_rejected, for an edit of the file's term rows."""
+
+    def edit(data):
+        doc = json.loads(data)
+        tamper(doc["terms"])
+        return json.dumps(doc).encode()
+
+    assert_file_rejected(tmp_path, edit)
+
+
+def ones_written_as(value):
+    """A tamper that writes every coordinate 1 of the mu rows as value,
+    which equals 1 in Python."""
+
+    def tamper(terms):
+        for t in terms:
+            t["mu"] = [value if c == 1 else c for c in t["mu"]]
+
+    return tamper
 
 
 class TestDiskCache:
@@ -382,8 +402,10 @@ class TestDiskCache:
             lambda terms: terms[0].update(coeff=True),
             lambda terms: terms[1].update(mu=[str(c) for c in terms[1]["mu"]]),
             lambda terms: terms.append(dict(terms[-1], coeff=terms[-1]["coeff"] + 1)),
+            ones_written_as(True),
+            ones_written_as(1.0),
         ],
-        ids=["float-coeff", "bool-coeff", "string-mu", "repeated-mu"],
+        ids=["float-coeff", "bool-coeff", "string-mu", "repeated-mu", "true-in-mu", "float-in-mu"],
     )
     def test_non_integer_or_repeated_entry_rejected(self, tmp_path, tamper):
         assert_rejected_and_rewritten(tmp_path, tamper)
@@ -399,6 +421,41 @@ class TestDiskCache:
     )
     def test_misordered_or_nonpositive_entry_rejected(self, tmp_path, tamper):
         assert_rejected_and_rewritten(tmp_path, tamper)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda data: json.dumps(
+                {k: v for k, v in json.loads(data).items() if k != "terms"}
+            ).encode(),
+            lambda data: b"\xef\xbb\xbf" + data,
+            # an extra field is ignored, so only the decoding rejects it
+            lambda data: data.replace(b"{", b'{"note": "caf\xe9", ', 1),
+        ],
+        ids=["missing-terms", "utf8-bom", "not-utf8"],
+    )
+    def test_unreadable_file_rejected(self, tmp_path, edit):
+        assert_file_rejected(tmp_path, edit)
+
+    def test_lower_multiplicity_edit_is_accepted(self, tmp_path):
+        # the known gap: a lower multiplicity changed to another positive
+        # integer passes the check, and the edited table is returned; the
+        # file is read again after clear_memo, so the edit shows
+        from charrig import oracle
+
+        lam = w(2, 2, 2)
+        d = str(tmp_path)
+        oracle.clear_memo()
+        good = freudenthal_character(2, lam, cache_dir=d)
+        (path,) = list(tmp_path.iterdir())
+        doc = json.loads(path.read_text())
+        (row,) = [t for t in doc["terms"] if t["mu"] == [3, 0]]
+        assert row["coeff"] == 1
+        row["coeff"] = 2
+        path.write_text(json.dumps(doc))
+        oracle.clear_memo()
+        edited = freudenthal_character(2, lam, cache_dir=d)
+        assert edited.terms == {**good.terms, w(2, 3, 0): 2}
 
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch):
         from charrig import oracle

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from charrig import rigidity
 from charrig.lattice import from_fundamental
@@ -10,6 +11,7 @@ from charrig.serialize import (
     dump_doc,
     family_from_doc,
     family_to_doc,
+    parse_weight,
     table_from_doc,
     table_to_doc,
 )
@@ -17,6 +19,40 @@ from charrig.serialize import (
 
 def w(*coords):
     return from_fundamental(2, coords)
+
+
+# strings with the characters JSON escapes: quotes, backslashes, control
+# characters, non-ASCII ones and a lone surrogate
+TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600') | st.characters())
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80)
+    | st.integers(max_value=-1)
+    | st.floats()
+    | TEXT
+)
+DOCS = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(TEXT, kids, max_size=4)
+)
+
+
+class TestDumpDoc:
+    @given(DOCS)
+    @example({"a": [], "b": {}, "\u00fc\"\\": [[-1, 2**64 + 1], {"\x01": None, "t": True}]})
+    def test_bytes_of_json_dumps_indent_2(self, doc):
+        assert dump_doc(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+class TestParseWeight:
+    def test_memo_keeps_the_type_checks(self):
+        assert parse_weight(2, [1, 0]) == w(1, 0)
+        for bad in ([True, 0], [1.0, 0], [1, 0, 0]):
+            with pytest.raises(FormatError, match="bad weight"):
+                parse_weight(2, bad)
+        with pytest.raises(FormatError, match="not dominant"):
+            parse_weight(2, [1, -1])
 
 
 class TestFamilyFormat:
