@@ -19,10 +19,9 @@ persistent JSON spill of the same tables, each file written atomically
 saturated dominants of its weight in processing order, with positive
 JSON integer multiplicities, 1 first; any other file is discarded and
 recomputed.  A lower multiplicity changed to another positive integer
-is not detected.  Each (rank, weight) keeps one record of its file's
-name and the mu rows a valid file lists, a pure function of the weight
-that outlives clear_memo; every read still opens, parses and checks the
-file.
+is not detected.  Every read opens, parses and checks the file, and
+builds its name and the mu rows it must list from the saturated set the
+caller already holds; nothing about a file is kept.
 """
 
 import contextlib
@@ -44,36 +43,25 @@ from .lattice import (
 from .ring import CharElement, expand
 
 _MEMO: dict[tuple[int, Eps], CharElement] = {}
-_FILES: dict[tuple[int, Eps], tuple[str, list[list[int]]]] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
 
 
-def _cache_file(l: int, doms: tuple[Eps, ...]) -> tuple[str, list[list[int]]]:
-    """The cache file name of doms[0], whose saturated set is doms, and
-    the mu rows its file lists: doms in fundamental coordinates.  A pure
-    function of the weight, kept once per (rank, weight) across
-    clear_memo; it holds nothing read from a file."""
-    key = (l, doms[0])
-    try:
-        return _FILES[key]
-    except KeyError:
-        rows = [list(fundamental_coords(mu)) for mu in doms]
-        name = f"A{l}_" + "-".join(map(str, rows[0])) + ".json"
-        _FILES[key] = (name, rows)
-        return name, rows
+def _cache_path(cache_dir: str, l: int, lam: Eps) -> str:
+    name = f"A{l}_" + "-".join(str(c) for c in fundamental_coords(lam)) + ".json"
+    return os.path.join(cache_dir, name)
 
 
 def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement | None:
     """The character of doms[0], whose saturated set is doms, read from
     its cache file; None when the file is missing or invalid."""
-    name, expected = _cache_file(l, doms)
+    path = _cache_path(cache_dir, l, doms[0])
     try:
         # bytes decoded as UTF-8 parse as the text-mode read does: JSON's
         # only newlines are whitespace; a BOM or a bad byte is a ValueError
-        with open(os.path.join(cache_dir, name), "rb") as fh:
+        with open(path, "rb") as fh:
             rows = json.loads(fh.read().decode("utf-8"))["terms"]
         coords = [row["mu"] for row in rows]
         mults = [row["coeff"] for row in rows]
@@ -82,7 +70,7 @@ def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement |
     # a true character is its multiplicities over the saturated set, so a
     # file can validly list only that set, in processing order; the types
     # are tested too, since [True, 0] == [1.0, 0] == [1, 0].
-    if coords != expected or any(
+    if coords != [list(fundamental_coords(mu)) for mu in doms] or any(
         type(x) is not int for x in [*(c for mu in coords for c in mu), *mults]
     ):
         return None
@@ -94,13 +82,13 @@ def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement |
 def _store_cached(cache_dir: str, l: int, doms: tuple[Eps, ...], elem: CharElement) -> None:
     """Write elem, the character of doms[0], whose terms are doms in
     order, to its cache file."""
-    name, rows = _cache_file(l, doms)
+    rows = [list(fundamental_coords(mu)) for mu in doms]
     doc = {
         "rank": l,
         "lambda": rows[0],
         "terms": [{"mu": mu, "coeff": c} for mu, c in zip(rows, elem.terms.values())],
     }
-    path = os.path.join(cache_dir, name)
+    path = _cache_path(cache_dir, l, doms[0])
     tmp = f"{path}.{os.getpid()}.tmp"  # never matches a cache name
     try:
         os.makedirs(cache_dir, exist_ok=True)

@@ -7,7 +7,6 @@ of json.dumps(doc, indent=2) and a newline, with a writer that skips the
 pure-Python encoder the indent option selects.
 """
 
-import functools
 import json
 
 from .lattice import Eps, from_fundamental, fundamental_coords, processing_key
@@ -29,12 +28,7 @@ def parse_weight(l: int, arr) -> Eps:
         raise FormatError(f"bad weight {arr!r} for rank {l}")
     if any(c < 0 for c in arr):
         raise FormatError(f"weight {arr!r} is not dominant")
-    return _weight(tuple(arr))
-
-
-@functools.cache
-def _weight(coords: tuple[int, ...]) -> Eps:
-    return from_fundamental(len(coords), coords)
+    return from_fundamental(l, arr)
 
 
 _quote = json.encoder.encode_basestring_ascii  # json's C string encoder

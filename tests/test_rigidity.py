@@ -285,7 +285,7 @@ class TestLRTable:
         pairs = [(mu, nu, add(mu, nu)) for mu in index for nu in index if height(add(mu, nu)) <= 12]
         factors = {mu for mu, _, _ in pairs}
         assert sorted(os.listdir(tmp_path)) == sorted(
-            oracle._cache_file(2, saturated_dominants(mu))[0] for mu in factors
+            os.path.basename(oracle._cache_path(str(tmp_path), 2, mu)) for mu in factors
         )
         query = lr_oracle(2)
         expected = [

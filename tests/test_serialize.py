@@ -11,7 +11,6 @@ from charrig.serialize import (
     dump_doc,
     family_from_doc,
     family_to_doc,
-    parse_weight,
     table_from_doc,
     table_to_doc,
 )
@@ -43,16 +42,6 @@ class TestDumpDoc:
     @example({"a": [], "b": {}, "\u00fc\"\\": [[-1, 2**64 + 1], {"\x01": None, "t": True}]})
     def test_bytes_of_json_dumps_indent_2(self, doc):
         assert dump_doc(doc) == json.dumps(doc, indent=2) + "\n"
-
-
-class TestParseWeight:
-    def test_memo_keeps_the_type_checks(self):
-        assert parse_weight(2, [1, 0]) == w(1, 0)
-        for bad in ([True, 0], [1.0, 0], [1, 0, 0]):
-            with pytest.raises(FormatError, match="bad weight"):
-                parse_weight(2, bad)
-        with pytest.raises(FormatError, match="not dominant"):
-            parse_weight(2, [1, -1])
 
 
 class TestFamilyFormat:
