@@ -336,13 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "rank", None) is not None and args.rank < 1 and args.command != "verify":
-        print(f"charrig: rank must be >= 1, got {args.rank}", file=sys.stderr)
-        return 2
-    if getattr(args, "bound", None) is not None and args.bound < 0:
-        print(f"charrig: bound must be >= 0, got {args.bound}", file=sys.stderr)
-        return 2
     try:
+        if getattr(args, "rank", None) is not None and args.rank < 1 and args.command != "verify":
+            raise CLIError(2, f"rank must be >= 1, got {args.rank}")
+        if getattr(args, "bound", None) is not None and args.bound < 0:
+            raise CLIError(2, f"bound must be >= 0, got {args.bound}")
         return args.func(args)
     except CLIError as exc:
         print(f"charrig: {exc.message}", file=sys.stderr)

@@ -225,9 +225,10 @@ def processing_key(eps: Eps):
     return (height(eps), eps)
 
 
-def dominant_weights_up_to(l: int, bound: int) -> list[Eps]:
-    """All dominant weights with height <= bound, in increasing
-    processing order, each the object saturated_dominants holds for it."""
+@functools.cache
+def dominant_weights_up_to(l: int, bound: int) -> tuple[Eps, ...]:
+    """The dominant weights of height <= bound as one shared tuple, in
+    increasing processing order, each saturated_dominants' object for it."""
     fw_heights = [height(fundamental_weight(l, i)) for i in range(1, l + 1)]
     out: list[Eps] = []
 
@@ -241,4 +242,4 @@ def dominant_weights_up_to(l: int, bound: int) -> list[Eps]:
             c += 1
 
     rec(0, [], 0)
-    return [key[1] for key in sorted(map(processing_key, out))]
+    return tuple(key[1] for key in sorted(map(processing_key, out)))

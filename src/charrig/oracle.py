@@ -124,11 +124,10 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
     except (KeyError, TypeError):  # a miss, or an unhashable weight such as a list
         pass
     lam = _checked_dominant(l, lam)
-    key = (l, lam)
-    if key in _MEMO:
-        return _MEMO[key]
     doms = saturated_dominants(lam)  # decreasing height, lam first
     key = (l, doms[0])  # the lattice's one object for lam, as in the terms
+    if key in _MEMO:
+        return _MEMO[key]
     if cache_dir:
         cached = _load_cached(cache_dir, l, doms)
         if cached is not None:

@@ -27,7 +27,6 @@ the product route, and the tests' reference for those rows.
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lattice import (
@@ -65,8 +64,7 @@ class PerturbationError(ValueError):
     """Requested perturbation site is invalid."""
 
 
-@dataclass(frozen=True)
-class CharacterFamily:
+class CharacterFamily(NamedTuple):
     """An indexed collection {lam: f_lam} over all dominant weights with
     height(lam) <= bound."""
 
@@ -106,8 +104,9 @@ def validate_family(fam: CharacterFamily) -> None:
 
 def true_family(l: int, bound: int, cache_dir: str | None = None) -> CharacterFamily:
     """The family of genuine characters on the given bound, indexed by
-    the layout: the reference every comparison with the truth reads."""
-    members = {lam: freudenthal_character(l, lam, cache_dir) for lam in _layout(l, bound).sites}
+    the lattice index; it builds no layout."""
+    index = dominant_weights_up_to(l, bound)
+    members = {lam: freudenthal_character(l, lam, cache_dir) for lam in index}
     return CharacterFamily(l, bound, members)
 
 
@@ -285,7 +284,7 @@ class _Layout(NamedTuple):
 
 @functools.cache
 def _layout(l: int, bound: int) -> _Layout:
-    index = tuple(dominant_weights_up_to(l, bound))
+    index = dominant_weights_up_to(l, bound)
     inside = set(index)
     # index ascends by height and height is additive on dominant weights,
     # so the first b out of bound ends a's pairs
@@ -347,9 +346,10 @@ def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> lis
     Returns (lam, mu, expected, found) violation tuples.  Raises
     ValueError when the index set is not the dominant weights in bound."""
     layout = _family_layout(fam)
+    members, truth_members = fam.members, truth.members
     violations = []
     for lam, sites in layout.sites.items():
-        f, t = fam.members[lam], truth.members[lam]
+        f, t = members[lam], truth_members[lam]
         if f is t:  # a member shared with the true family
             continue
         for mu in sites:
@@ -405,10 +405,11 @@ def check_duality_condition(
     the pairs that read a rebuilt row are compared."""
     layout = _family_layout(fam)
     ref, readers = _reference(fam.rank, fam.bound)
+    truth_members = truth.members
     changed = {
         lam: decompose(f)
         for lam, f in fam.members.items()
-        if f is not truth.members[lam] and f != truth.members[lam]
+        if f is not truth_members[lam] and f != truth_members[lam]
     }
 
     def basis(t: Eps) -> dict[Eps, int]:
@@ -440,8 +441,7 @@ def check_duality_condition(
     return violations, list(layout.skipped)
 
 
-@dataclass
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Verdicts of the two rigidity checks, with per-violation witnesses."""
 
     support_violations: list

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import charrig
+from charrig import cli
 
 
 def run(*args, env=None):
@@ -399,3 +400,18 @@ def test_perturb_output_bytes_unchanged(tmp_path, options):
 def test_module_imports_alone(module):
     res = subprocess.run([sys.executable, "-c", f"import charrig.{module}"])
     assert res.returncode == 0
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ("table --rank 0 --bound 4", "rank must be >= 1, got 0"),
+        ("reconstruct --rank 2 --bound -1", "bound must be >= 0, got -1"),
+        ("verify --family missing.json --rank 0", "cannot read family missing.json"),
+    ],
+)
+def test_range_errors_exit_2_with_one_message(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"charrig: {message}") and err.count("\n") == 1

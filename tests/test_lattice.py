@@ -294,7 +294,7 @@ class TestEnumeration:
         assert keys == sorted(keys)
 
     def test_bound_zero(self):
-        assert dominant_weights_up_to(3, 0) == [zero_weight(3)]
+        assert dominant_weights_up_to(3, 0) == (zero_weight(3),)
 
     def test_downward_closed(self):
         got = set(dominant_weights_up_to(2, 10))

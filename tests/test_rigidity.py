@@ -1,13 +1,15 @@
-import dataclasses
 import functools
 import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import charrig
 from charrig import oracle, rigidity
 from charrig.lattice import (
     add,
@@ -449,7 +451,7 @@ class TestDualityCondition:
         assert dual_row[w(1, 0)] == 1
 
 
-class TestProductMemo:
+class TestReference:
     """_reference: the true family's rows and the rows that read each
     member, kept once per (rank, bound) for lr_table and the duality
     check of every family."""
@@ -535,8 +537,7 @@ class TestProductMemo:
         assert verify_family(fam) == report
 
     def test_family_holds_only_rank_bound_and_members(self):
-        names = [f.name for f in dataclasses.fields(CharacterFamily)]
-        assert names == ["rank", "bound", "members"]
+        assert CharacterFamily._fields == ("rank", "bound", "members")
 
 
 def shifted(f, mu, delta):
@@ -771,6 +772,16 @@ class TestLayout:
             rigidity._reference.cache_clear()
             assert verify_family(family) == warm
 
+    def test_only_the_checks_and_lr_table_build_it(self):
+        # true_family, perturbation and reconstruction read the lattice
+        # index, so a perturb or reconstruct run builds no layout
+        rigidity._layout.cache_clear()
+        truth = true_family(2, 30)
+        lam, mu = perturbation_sites(truth)[-1]
+        perturb_family(truth, lam, mu, 1)
+        reconstruct_family(lr_oracle(2), 2, 30)
+        assert rigidity._layout.cache_info().currsize == 0
+
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
     def test_one_record_per_ordered_pair(self, l, bound):
         # built again from add and dual_weight, in pair order, not from
@@ -866,3 +877,20 @@ class TestContrapositive:
                 report = verify_family(perturb_family(fam10, lam, mu, delta))
                 assert not report.passed, (lam, mu, delta)
                 assert not report.members_equal
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both cost a fresh CLI process milliseconds it never uses
+    src = os.path.dirname(os.path.dirname(os.path.abspath(charrig.__file__)))
+    code = (
+        "import sys; from charrig import cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
