@@ -70,7 +70,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise CLIError(2, f"cannot read {what} {path}: {exc}") from None
 
 

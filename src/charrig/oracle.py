@@ -65,7 +65,7 @@ def _load_cached(cache_dir: str, l: int, doms: tuple[Eps, ...]) -> CharElement |
             rows = json.loads(fh.read().decode("utf-8"))["terms"]
         coords = [row["mu"] for row in rows]
         mults = [row["coeff"] for row in rows]
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     # a true character is its multiplicities over the saturated set, so a
     # file can validly list only that set, in processing order; the types

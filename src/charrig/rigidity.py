@@ -8,26 +8,28 @@ structure-constant oracle, and test the two conditions that force the
 family to be the true characters: the small-support multiplicity
 condition and the tensor duality condition.
 
-Which pairs, triples and small-support sites the two checks read depends
-only on the rank and the height bound, so _layout computes them once per
-(rank, bound): one row per unordered pair, one record per ordered pair
-with its row's slot and its triples' dual slots, and the skipped triples.
-What depends on the true characters' values is _reference, the one truth
-table per (rank, bound): the true family's Brauer-Klimyk rows from
-tensor_decompose and the rows that read each member.  lr_table is those
-rows.  Both checks compare a family with true_family, the family of true
-characters, and read again only what a member that differs from it
-changes.  Structure constants do not depend on the basis they are
-written in, so a row of the duality check that reads a changed member
-is rewritten through the character-basis expansion of the members that
-differ, and no ring product is formed.  extract_structure_constants is
-the product route, and the tests' reference for those rows.
+Which pairs and triples the duality check reads, and the true
+characters' structure constants there, depend only on the rank and the
+height bound, so _layout computes them once per (rank, bound), the one
+truth table: one row per unordered pair, the true family's
+Brauer-Klimyk row from tensor_decompose, one record per ordered pair
+with its row's slot and its triples' dual slots, the skipped triples,
+and which rows read each member.  lr_table is those rows.  The support
+check reads only each weight's small-support sites, which _small_support
+keeps per weight, so it builds no table.  Both checks compare a family
+with true_family, the family of true characters, and read again only
+what a member that differs from it changes.  Structure constants do not
+depend on the basis they are written in, so a row of the duality check
+that reads a changed member is rewritten through the character-basis
+expansion of the members that differ, and no ring product is formed.
+extract_structure_constants is the product route, and the tests'
+reference for those rows.
 """
 
+import collections
 import functools
 import itertools
 import random
-from typing import NamedTuple
 
 from .lattice import (
     Eps,
@@ -64,13 +66,11 @@ class PerturbationError(ValueError):
     """Requested perturbation site is invalid."""
 
 
-class CharacterFamily(NamedTuple):
+class CharacterFamily(collections.namedtuple("CharacterFamily", "rank bound members")):
     """An indexed collection {lam: f_lam} over all dominant weights with
     height(lam) <= bound."""
 
-    rank: int
-    bound: int
-    members: dict
+    __slots__ = ()
 
     def index_set(self) -> list[Eps]:
         return sorted(self.members, key=processing_key)
@@ -189,17 +189,21 @@ def lr_table(l: int, bound: int, cache_dir: str | None = None) -> dict:
     """Full table {(mu, nu, lam): value} of Littlewood-Richardson
     coefficients for all nonzero dominant pairs whose sum stays in
     bound, zeros included (so absence genuinely means missing): the
-    _reference row in the slot of each of the layout's pairs, over the
-    saturated set of mu + nu.  Each factor's character is fetched
-    through cache_dir first, so the directory gets exactly their files."""
-    layout = _layout(l, bound)
-    # the zero weight is the only all-zero key; slots holds both orders,
-    # so its first factors are all the factors
-    slots = {(mu, nu): k for (mu, nu), k in layout.slots.items() if any(mu) and any(nu)}
-    for mu in dict.fromkeys(mu for mu, _ in slots):
+    truth's row in the layout's slot of each pair, over the saturated
+    set of mu + nu.  Each factor's character is fetched through
+    cache_dir first, so the directory gets exactly their files."""
+    # height is additive on dominant weights and omega_1 has the least
+    # nonzero height, so the factors are the nonzero mu with room for it
+    for mu in dominant_weights_up_to(l, bound - height(fundamental_weight(l, 1)))[1:]:
         freudenthal_character(l, mu, cache_dir)
-    rows, _ = _reference(l, bound)
-    return {(mu, nu, s): n for (mu, nu), k in slots.items() for s, n in rows[k].items()}
+    layout = _layout(l, bound)
+    # the zero weight is the only all-zero key
+    return {
+        (mu, nu, s): n
+        for (mu, nu), k in layout.slots.items()
+        if any(mu) and any(nu)
+        for s, n in layout.rows[k][2].items()
+    }
 
 
 def table_oracle(entries: dict):
@@ -254,32 +258,34 @@ def multiplicity_from_product(
     return _recursion_step(fam.members, mu, nu, row).e_coefficient(t)
 
 
-class _Layout(NamedTuple):
-    """What the two checks read of a family with a given rank and bound,
-    none of it the members themselves.
+class _Layout(collections.namedtuple("_Layout", "pairs rows slots skipped users readers")):
+    """The one truth table of a rank and bound: what the duality check
+    reads of the true family, none of it a candidate's members.
 
-    A slot is an index into rows, which holds one (a, b, Pi+(a + b)) per
-    unordered pair, in the order the ordered pairs first meet it, and
-    slots maps both orders of each pair to its slot.  pairs holds one
-    record (mu, nu, k, duals) per ordered pair with mu + nu in bound: k
-    is the slot of (mu, nu) and, for each lam of rows[k]'s weights in
-    order, duals holds the slot of the dual pair (lam, nu*), or None
-    when lam + nu* leaves the bound; skipped lists those triples
-    (mu, nu, lam), in the order the pairs give them.
+    A slot is an index into rows, which holds one (a, b, row) per
+    unordered pair, in the order the ordered pairs first meet it: row is
+    the truth's tensor_decompose row over Pi+(a + b) in order, zeros
+    included.  slots maps both orders of each pair to its slot.  pairs
+    holds one record (mu, nu, k, duals) per ordered pair with mu + nu in
+    bound: k is the slot of (mu, nu) and, for each weight lam of
+    rows[k]'s row in order, duals holds the slot of the dual pair
+    (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
+    those triples (mu, nu, lam), in the order the pairs give them.
 
     users[slot] lists, in ascending order, the indices into pairs whose
     comparisons read that slot, as their own row or as a dual slot.
-    Which rows read a member depends on the truth's values, so
-    _reference holds that index."""
+    readers[lam], keyed by the index set, lists the ascending slots whose
+    row reads member lam, as one of its two factors or at a nonzero
+    coefficient.
 
-    pairs: tuple[tuple[Eps, Eps, int, tuple[int | None, ...]], ...]
-    # lam: the mu in its saturated set where lam - mu misses a simple
-    # root, keyed by the index set in index_set() order
-    sites: dict[Eps, tuple[Eps, ...]]
-    rows: tuple[tuple[Eps, Eps, tuple[Eps, ...]], ...]
-    slots: dict[tuple[Eps, Eps], int]
-    skipped: tuple[tuple[Eps, Eps, Eps], ...]
-    users: tuple[tuple[int, ...], ...]
+    The table is kept for the life of the process, and
+    oracle.clear_memo() leaves it in place.  That is exact: the rows are
+    Littlewood-Richardson coefficients, fixed by (l, bound), and a
+    recomputed character gives the same rows.  Only a character read
+    from a cache file whose lower multiplicities were edited, which the
+    loader does not detect, makes the memo disagree with the truth."""
+
+    __slots__ = ()
 
 
 @functools.cache
@@ -290,6 +296,7 @@ def _layout(l: int, bound: int) -> _Layout:
     # so the first b out of bound ends a's pairs
     rows = []
     slot: dict[tuple[Eps, Eps], int] = {}  # (a, b): the index of its row
+    readers: dict[Eps, list[int]] = {lam: [] for lam in index}
     for a in index:
         for b in index:
             lam0 = add(a, b)
@@ -298,17 +305,12 @@ def _layout(l: int, bound: int) -> _Layout:
             # the product commutes, so (b, a) reads the row of (a, b)
             if (b, a) in slot:
                 slot[a, b] = slot[b, a]
-            else:
-                slot[a, b] = len(rows)
-                rows.append((a, b, saturated_dominants(lam0)))
-    sites = {
-        lam: tuple(
-            mu
-            for mu in saturated_dominants(lam)
-            if support_size(root_coordinates(lam, mu)) < l
-        )
-        for lam in index
-    }
+                continue
+            k = slot[a, b] = len(rows)
+            row = tensor_decompose(l, a, b)
+            for lam in {a, b, *row}:
+                readers[lam].append(k)
+            rows.append((a, b, {t: row.get(t, 0) for t in saturated_dominants(lam0)}))
     pairs = []
     skipped = []
     users: list[list[int]] = [[] for _ in rows]
@@ -323,19 +325,22 @@ def _layout(l: int, bound: int) -> _Layout:
             users[s].append(i)
     return _Layout(
         tuple(pairs),
-        sites,
         tuple(rows),
         slot,
         tuple(skipped),
         tuple(map(tuple, users)),
+        {lam: tuple(ks) for lam, ks in readers.items()},
     )
 
 
-def _family_layout(fam: CharacterFamily) -> _Layout:
-    layout = _layout(fam.rank, fam.bound)
-    if fam.members.keys() != layout.sites.keys():
-        raise ValueError("index set is not exactly the dominant weights in bound")
-    return layout
+@functools.cache
+def _small_support(lam: Eps) -> tuple[Eps, ...]:
+    """The mu in the saturated set of lam where lam - mu misses a simple
+    root: the sites of member lam that the support check compares."""
+    l = len(lam) - 1
+    return tuple(
+        mu for mu in saturated_dominants(lam) if support_size(root_coordinates(lam, mu)) < l
+    )
 
 
 def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> list[tuple]:
@@ -343,45 +348,23 @@ def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> lis
     true family on the same bound, at every site where lam - mu misses at
     least one simple root.
 
-    Returns (lam, mu, expected, found) violation tuples.  Raises
-    ValueError when the index set is not the dominant weights in bound."""
-    layout = _family_layout(fam)
+    Returns (lam, mu, expected, found) violation tuples, in index order.
+    Raises ValueError when the index set is not the dominant weights in
+    bound."""
     members, truth_members = fam.members, truth.members
+    if members.keys() != truth_members.keys():
+        raise ValueError("index set is not exactly the dominant weights in bound")
     violations = []
-    for lam, sites in layout.sites.items():
-        f, t = members[lam], truth_members[lam]
+    for lam, t in truth_members.items():
+        f = members[lam]
         if f is t:  # a member shared with the true family
             continue
-        for mu in sites:
+        for mu in _small_support(lam):
             expected = t.coefficient(mu)
             found = f.coefficient(mu)
             if expected != found:
                 violations.append((lam, mu, expected, found))
     return violations
-
-
-@functools.cache
-def _reference(l: int, bound: int) -> tuple[tuple[dict, ...], dict]:
-    """The one truth table of (l, bound): the true family's row at each
-    slot of the layout, tensor_decompose over the slot's weights with
-    zeros included, and readers[lam], the ascending slots whose row reads
-    member lam, as one of its two factors or at a nonzero coefficient.
-
-    Like the layout, it is kept for the life of the process, and
-    oracle.clear_memo() leaves it in place.  That is exact: the rows are
-    Littlewood-Richardson coefficients, fixed by (l, bound), and a
-    recomputed character gives the same rows.  Only a character read
-    from a cache file whose lower multiplicities were edited, which the
-    loader does not detect, makes the memo disagree with the truth."""
-    layout = _layout(l, bound)
-    rows = []
-    readers: dict[Eps, list[int]] = {lam: [] for lam in layout.sites}
-    for k, (a, b, weights) in enumerate(layout.rows):
-        row = tensor_decompose(l, a, b)
-        rows.append({t: row.get(t, 0) for t in weights})
-        for lam in {a, b, *row}:
-            readers[lam].append(k)
-    return tuple(rows), {lam: tuple(ks) for lam, ks in readers.items()}
 
 
 def check_duality_condition(
@@ -403,9 +386,10 @@ def check_duality_condition(
     row of (s, r), and ring.expand writes it in the basis D.  The truth's
     rows satisfy the identity (c^lam_{mu nu} = c^mu_{lam nu*}), so only
     the pairs that read a rebuilt row are compared."""
-    layout = _family_layout(fam)
-    ref, readers = _reference(fam.rank, fam.bound)
     truth_members = truth.members
+    if fam.members.keys() != truth_members.keys():
+        raise ValueError("index set is not exactly the dominant weights in bound")
+    layout = _layout(fam.rank, fam.bound)
     changed = {
         lam: decompose(f)
         for lam, f in fam.members.items()
@@ -418,22 +402,22 @@ def check_duality_condition(
     # top-down, a row whose factors are the truth's reads basis(lam) only
     # where its coefficient at lam is nonzero, so it is the truth's row
     # while every changed member's coefficient there is 0
-    stale = {k for lam in changed for k in readers[lam]}
-    rows = list(ref)
+    stale = {k for lam in changed for k in layout.readers[lam]}
+    rows = [row for _, _, row in layout.rows]
     for k in stale:
-        a, b, weights = layout.rows[k]
+        a, b, row = layout.rows[k]
         terms: dict[Eps, int] = {}
         for s, ds in basis(a).items():
             for r, dr in basis(b).items():
                 c = ds * dr
-                for t, n in ref[layout.slots[s, r]].items():
+                for t, n in layout.rows[layout.slots[s, r]][2].items():
                     terms[t] = terms.get(t, 0) + c * n
-        rows[k] = expand(terms, weights, basis)
+        rows[k] = expand(terms, row, basis)
     violations = []
     for i in sorted({i for k in stale for i in layout.users[k]}):
         mu, nu, k, duals = layout.pairs[i]
         # rows[k] and duals both follow the row's weights
-        for lam, lhs, dual in zip(layout.rows[k][2], rows[k].values(), duals):
+        for (lam, lhs), dual in zip(rows[k].items(), duals):
             if dual is not None:
                 rhs = rows[dual].get(mu, 0)
                 if lhs != rhs:
@@ -441,13 +425,14 @@ def check_duality_condition(
     return violations, list(layout.skipped)
 
 
-class ConditionReport(NamedTuple):
+class ConditionReport(
+    collections.namedtuple(
+        "ConditionReport", "support_violations duality_violations skipped members_equal"
+    )
+):
     """Verdicts of the two rigidity checks, with per-violation witnesses."""
 
-    support_violations: list
-    duality_violations: list
-    skipped: list
-    members_equal: bool
+    __slots__ = ()
 
     @property
     def support_pass(self) -> bool:

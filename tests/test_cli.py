@@ -415,3 +415,21 @@ def test_range_errors_exit_2_with_one_message(tmp_path, monkeypatch, capsys, arg
     assert cli.main(argv.split()) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"charrig: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv,what",
+    [
+        ("verify --family deep.json", "family"),
+        ("reconstruct --rank 2 --bound 4 --oracle file --table deep.json", "table"),
+    ],
+)
+def test_deeply_nested_input_exits_2(tmp_path, monkeypatch, capsys, argv, what):
+    # json raises RecursionError, not ValueError, on such a file; exit 1
+    # would claim a mathematical failure
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text("[" * 100000 + "]" * 100000)
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"charrig: cannot read {what} deep.json:")
+    assert err.count("\n") == 1

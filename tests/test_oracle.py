@@ -431,8 +431,10 @@ class TestDiskCache:
             lambda data: b"\xef\xbb\xbf" + data,
             # an extra field is ignored, so only the decoding rejects it
             lambda data: data.replace(b"{", b'{"note": "caf\xe9", ', 1),
+            # json raises RecursionError, not ValueError, on this one
+            lambda data: b"[" * 100000 + b"]" * 100000,
         ],
-        ids=["missing-terms", "utf8-bom", "not-utf8"],
+        ids=["missing-terms", "utf8-bom", "not-utf8", "nested-too-deeply"],
     )
     def test_unreadable_file_rejected(self, tmp_path, edit):
         assert_file_rejected(tmp_path, edit)

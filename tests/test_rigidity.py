@@ -252,8 +252,8 @@ class TestLRTable:
         assert lr_table(l, bound) == expected
 
     def test_one_tensor_decompose_per_unordered_pair(self, monkeypatch):
-        # the table reads the reference rows, one tensor_decompose per
-        # row of the layout, built once for the table and the checks alike
+        # the table reads the truth's rows, one tensor_decompose per row
+        # of the layout, built once for the table and the checks alike
         calls = []
 
         def counted(l, mu, nu, cache_dir=None):
@@ -261,11 +261,11 @@ class TestLRTable:
             return tensor_decompose(l, mu, nu, cache_dir)
 
         def forbidden(*args):
-            raise AssertionError("lr_table must read the reference rows")
+            raise AssertionError("lr_table must read the truth's rows")
 
         monkeypatch.setattr(rigidity, "tensor_decompose", counted)
         monkeypatch.setattr(rigidity, "lr_oracle", forbidden)
-        rigidity._reference.cache_clear()
+        rigidity._layout.cache_clear()
         table = lr_table(2, 16)
         rows = rigidity._layout(2, 16).rows
         assert len(calls) == len(set(calls)) == len(rows)
@@ -278,9 +278,9 @@ class TestLRTable:
         assert calls == []
 
     def test_equals_the_oracle_route_and_writes_the_factors_files(self, tmp_path):
-        # the reference outlives the memo, so only the explicit fetch
-        # writes the factors' cache files
-        rigidity._reference(2, 12)
+        # the table outlives the memo, so only the explicit fetch writes
+        # the factors' cache files
+        rigidity._layout(2, 12)
         oracle.clear_memo()
         table = lr_table(2, 12, str(tmp_path))
         index = dominant_weights_up_to(2, 12)[1:]
@@ -452,12 +452,12 @@ class TestDualityCondition:
 
 
 class TestReference:
-    """_reference: the true family's rows and the rows that read each
-    member, kept once per (rank, bound) for lr_table and the duality
-    check of every family."""
+    """_layout's truth table: the true family's rows and the rows that
+    read each member, kept once per (rank, bound) for lr_table and the
+    duality check of every family."""
 
     def test_one_entry_per_rank_and_bound(self):
-        rigidity._reference.cache_clear()
+        rigidity._layout.cache_clear()
         small, large = true_family(2, 10), true_family(2, 12)
         checks = [
             (small, small),
@@ -467,25 +467,25 @@ class TestReference:
         ]
         for fam, truth in checks:
             check_duality_condition(fam, truth)
-        assert rigidity._reference.cache_info().currsize == 2
+        assert rigidity._layout.cache_info().currsize == 2
         for bound in (10, 12):
-            rows, readers = rigidity._reference(2, bound)
             layout = rigidity._layout(2, bound)
-            assert [list(row) for row in rows] == [list(weights) for _, _, weights in layout.rows]
-            assert readers == {
+            assert [list(row) for _, _, row in layout.rows] == [
+                list(saturated_dominants(add(a, b))) for a, b, _ in layout.rows
+            ]
+            assert layout.readers == {
                 lam: tuple(
-                    k for k, (a, b, _) in enumerate(layout.rows) if lam in (a, b) or rows[k].get(lam)
+                    k for k, (a, b, row) in enumerate(layout.rows) if lam in (a, b) or row.get(lam)
                 )
-                for lam in layout.sites
+                for lam in dominant_weights_up_to(2, bound)
             }
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30), (4, 36), (5, 40)])
     def test_truths_rows_satisfy_the_duality_identity(self, l, bound):
         # c^lam_{mu nu} = c^mu_{lam nu*}: the check compares only the pairs
         # that read a rebuilt row, since the truth's rows have no violation
-        layout = rigidity._layout(l, bound)
-        rows, _ = rigidity._reference(l, bound)
-        for mu, nu, k, duals in layout.pairs:
+        rows = [row for _, _, row in rigidity._layout(l, bound).rows]
+        for mu, nu, k, duals in rigidity._layout(l, bound).pairs:
             for lhs, dual in zip(rows[k].values(), duals, strict=True):
                 if dual is not None:
                     assert lhs == rows[dual].get(mu, 0)
@@ -493,33 +493,31 @@ class TestReference:
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 16), (3, 16), (4, 16)])
     def test_rows_are_the_truths_structure_constants(self, l, bound):
         truth = true_family(l, bound)
-        rows, _ = rigidity._reference(l, bound)
-        expected = [
-            extract_structure_constants(truth, a, b) for a, b, _ in rigidity._layout(l, bound).rows
-        ]
-        assert list(rows) == expected
+        layout = rigidity._layout(l, bound)
+        expected = [extract_structure_constants(truth, a, b) for a, b, _ in layout.rows]
+        assert [row for _, _, row in layout.rows] == expected
 
     def test_child_adds_nothing(self):
         truth = true_family(2, 10)
         check_duality_condition(truth, truth)
-        state = rigidity._reference(2, 10)
-        rows, readers = [dict(row) for row in state[0]], dict(state[1])
+        state = rigidity._layout(2, 10)
+        rows, readers = [dict(row) for _, _, row in state.rows], dict(state.readers)
         child = perturb_family(truth, w(1, 1), w(0, 0), 1)
         verify_family(child)
         verify_family(child)
         extract_structure_constants(child, w(1, 0), w(0, 1))
-        assert rigidity._reference(2, 10) is state
-        assert list(state[0]) == rows and state[1] == readers
+        assert rigidity._layout(2, 10) is state
+        assert [row for _, _, row in state.rows] == rows and state.readers == readers
 
     def test_child_checked_first_leaves_the_state(self, built_rows):
         lam = w(1, 1)
-        rigidity._reference.cache_clear()
+        rigidity._layout.cache_clear()
         truth = true_family(2, 12)
         child = perturb_family(truth, lam, w(0, 0), 1)
         expected = rows_reading(truth, lam)
         built_rows.clear()
         report = verify_family(child)
-        assert len(built_rows) == expected == len(rigidity._reference(2, 12)[1][lam])
+        assert len(built_rows) == expected == len(rigidity._layout(2, 12).readers[lam])
         assert expected < rows_holding(2, 12, lam)
         built_rows.clear()
         parent_report = verify_family(truth)
@@ -557,15 +555,15 @@ def rows_reading(fam, lam):
     nonzero structure constant."""
     return sum(
         lam in (a, b) or bool(extract_structure_constants(fam, a, b)[lam])
-        for a, b, weights in rigidity._layout(fam.rank, fam.bound).rows
-        if lam in weights or lam in (a, b)
+        for a, b, row in rigidity._layout(fam.rank, fam.bound).rows
+        if lam in row or lam in (a, b)
     )
 
 
 def rows_holding(l, bound, lam):
     """How many rows of the layout hold member lam, as a factor or in
     their saturated set, read at a nonzero coefficient or not."""
-    return sum(lam in (a, b) or lam in weights for a, b, weights in rigidity._layout(l, bound).rows)
+    return sum(lam in (a, b) or lam in row for a, b, row in rigidity._layout(l, bound).rows)
 
 
 @pytest.fixture
@@ -656,13 +654,12 @@ class TestDualityState:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(CharElement, name, forbidden)
         rigidity._layout.cache_clear()
-        rigidity._reference.cache_clear()
         assert [check_duality_condition(fam, truth) for fam in families] == expected
 
     def test_second_check_builds_no_row(self, built_rows, monkeypatch):
-        # the truth's rows are the reference, so no check of the truth or
-        # of a copy equal to it builds a row, cold or warm
-        rigidity._reference.cache_clear()
+        # the truth's rows are the table's, so no check of the truth or of
+        # a copy equal to it builds a row, cold or warm
+        rigidity._layout.cache_clear()
         calls = []
 
         def counted(l, mu, nu, cache_dir=None):
@@ -685,7 +682,7 @@ class TestDualityState:
         # fewer than the rows that hold it
         truth = true_family(2, 24)
         expected = rows_reading(truth, lam)
-        assert expected == len(rigidity._reference(2, 24)[1][lam])
+        assert expected == len(rigidity._layout(2, 24).readers[lam])
         assert expected < rows_holding(2, 24, lam)
         child = perturb_family(truth, lam, mu, 1)
         built_rows.clear()
@@ -712,13 +709,15 @@ class TestDualityState:
         assert report == cold_report(child)
 
     def test_state_is_kept_per_bound(self):
-        # the reference of one bound is never read for another
+        # the table of one bound is never read for another
         other = true_family(2, 10)
         check_duality_condition(other, other)
         bad = perturb_family(true_family(2, 12), w(1, 1), w(0, 0), 1)
         assert verify_family(bad) == cold_report(bad)
-        rows = [rigidity._reference(2, b)[0] for b in (10, 12)]
-        assert [len(r) for r in rows] == [len(rigidity._layout(2, b).rows) for b in (10, 12)]
+        for b in (10, 12):
+            index = dominant_weights_up_to(2, b)
+            pairs = {(a, c) for a in index for c in index if a <= c and height(add(a, c)) <= b}
+            assert {(min(a, c), max(a, c)) for a, c, _ in rigidity._layout(2, b).rows} == pairs
 
     def test_returned_lists_are_the_callers(self):
         truth = true_family(2, 10)
@@ -769,17 +768,20 @@ class TestLayout:
         for family in sweep_families(true_family(l, bound)):
             warm = verify_family(family)
             rigidity._layout.cache_clear()
-            rigidity._reference.cache_clear()
             assert verify_family(family) == warm
 
     def test_only_the_checks_and_lr_table_build_it(self):
         # true_family, perturbation and reconstruction read the lattice
-        # index, so a perturb or reconstruct run builds no layout
+        # index, so a perturb or reconstruct run builds no layout, and the
+        # support check reads each weight's sites, not the truth table
         rigidity._layout.cache_clear()
         truth = true_family(2, 30)
         lam, mu = perturbation_sites(truth)[-1]
         perturb_family(truth, lam, mu, 1)
         reconstruct_family(lr_oracle(2), 2, 30)
+        small = perturb_family(truth, w(2, 0), w(0, 1), 1)
+        assert check_support_condition(small, truth) == [(w(2, 0), w(0, 1), 1, 2)]
+        assert check_support_condition(truth, truth) == []
         assert rigidity._layout.cache_info().currsize == 0
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
@@ -791,7 +793,8 @@ class TestLayout:
 
         def record(mu, nu):
             weights = saturated_dominants(add(mu, nu))
-            assert layout.rows[layout.slots[mu, nu]] in ((mu, nu, weights), (nu, mu, weights))
+            a, b, row = layout.rows[layout.slots[mu, nu]]
+            assert (a, b) in ((mu, nu), (nu, mu)) and list(row) == list(weights)
             duals = tuple(layout.slots.get((lam, dual_weight(nu))) for lam in weights)
             return mu, nu, layout.slots[mu, nu], duals
 
@@ -880,11 +883,12 @@ class TestContrapositive:
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
-    # both cost a fresh CLI process milliseconds it never uses
+    # each costs a fresh CLI process milliseconds it never uses; typing
+    # too, since collections.namedtuple makes the records
     src = os.path.dirname(os.path.dirname(os.path.abspath(charrig.__file__)))
     code = (
         "import sys; from charrig import cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     res = subprocess.run(
         [sys.executable, "-S", "-c", code],
