@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import random
+import stat
 import sys
 
 from . import oracle, rigidity, serialize
@@ -75,9 +76,16 @@ def _read_json(path: str, what: str):
 
 
 def _write_file(path: str, text: str) -> None:
+    """Write text to path in place, not atomically.  A regular file is cut
+    to the new length after the write, not emptied before it: on ext4,
+    writing into a file truncated to zero makes its close flush it to disk.
+    A pipe, FIFO or device cannot be truncated and is only written."""
+    data = text.encode("utf-8")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(data)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise CLIError(2, f"cannot write {path}: {exc}") from None
 
@@ -271,10 +279,15 @@ def _add_common(p, fmt=False) -> None:
         p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The charrig parser, built once per process: parse_args leaves it
     unchanged."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple:
+    """The charrig parser and its {command: subparser} map."""
     parser = argparse.ArgumentParser(
         prog="charrig",
         description="Exact type A characters, tensor decompositions, and "
@@ -330,12 +343,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_table)
 
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv=None):
+    """The namespace build_parser().parse_args(argv) returns, in one
+    argparse pass: the command's own parser reads the arguments after the
+    command word.  The top-level parser runs only where the full parse
+    ends in help or an error (no command, an unknown one, or arguments the
+    command does not take), so it prints and exits as the full parse."""
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        return parser.parse_args(argv)  # exits 2: unrecognized arguments
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command on argv (default sys.argv[1:]) and return its exit
+    code.  Arguments go through parse_args: the top-level parser runs
+    only for help and errors."""
+    args = parse_args(argv)
     try:
         if getattr(args, "rank", None) is not None and args.rank < 1 and args.command != "verify":
             raise CLIError(2, f"rank must be >= 1, got {args.rank}")

@@ -147,14 +147,18 @@ def expand(terms: dict, weights, basis) -> dict[Eps, int]:
     n^t != 0.  Computed top-down: the coefficient of f at t minus the
     already-known contributions of everything above t."""
     row: dict[Eps, int] = {}
-    above: list[tuple[int, dict]] = []  # (n^s, basis(s)) for n^s != 0
+    # (n^s, basis(s)) for n^s != 0; a basis(s) that is only its leading
+    # term reaches no later weight and is left out
+    above: list[tuple[int, dict]] = []
     for t in weights:
         val = terms.get(t, 0)
         for ns, below in above:
             val -= ns * below.get(t, 0)
         row[t] = val
         if val:
-            above.append((val, basis(t)))
+            b = basis(t)
+            if len(b) > 1:
+                above.append((val, b))
     return row
 
 

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -332,15 +333,17 @@ def test_verify_output_bytes_unchanged(tmp_path, site):
     assert stdout_sha256("verify", "--family", str(fam)) == (1, VERIFY_SHA256[site])
 
 
+# reconstruct --rank 2 --bound 12 --out FILE: SHA-256 of standard output
+# and of FILE, recorded at commit a0f9196
+RECONSTRUCT_STDOUT_SHA256 = "9938d5cf1b06c026b8286d7ea94dcf6124b52e5d277f8cf8c2db1b4bded8044f"
+RECONSTRUCT_FAMILY_SHA256 = "5c14bccc9ad2a20f4c6f9fa17088549f1a750485e73d59c89f593bc6533b010a"
+RECONSTRUCT = ["reconstruct", "--rank", "2", "--bound", "12", "--out"]
+
+
 def test_reconstruct_output_bytes_unchanged(tmp_path):
-    # stdout and --out file recorded at commit a0f9196
     fam = tmp_path / "fam.json"
-    assert stdout_sha256("reconstruct", "--rank", "2", "--bound", "12", "--out", str(fam)) == (
-        0, "9938d5cf1b06c026b8286d7ea94dcf6124b52e5d277f8cf8c2db1b4bded8044f"
-    )
-    assert hashlib.sha256(fam.read_bytes()).hexdigest() == (
-        "5c14bccc9ad2a20f4c6f9fa17088549f1a750485e73d59c89f593bc6533b010a"
-    )
+    assert stdout_sha256(*RECONSTRUCT, str(fam)) == (0, RECONSTRUCT_STDOUT_SHA256)
+    assert hashlib.sha256(fam.read_bytes()).hexdigest() == RECONSTRUCT_FAMILY_SHA256
 
 
 def test_reconstruct_diff_bytes_unchanged(tmp_path):
@@ -433,3 +436,136 @@ def test_deeply_nested_input_exits_2(tmp_path, monkeypatch, capsys, argv, what):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"charrig: cannot read {what} deep.json:")
     assert err.count("\n") == 1
+
+
+def parent_parse(argv):
+    """The parse cli.main made before it dispatched on the command word:
+    the reference for cli.parse_args."""
+    return cli.build_parser().parse_args(argv)
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code or None, vars of the namespace or None, stdout, stderr)."""
+    try:
+        args, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (code, args, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "",
+        "-h",
+        "--help",
+        "char -h",
+        "table -h",
+        "char --rank 2",
+        "char --rank x --weight 1,1",
+        "char --rank 2 --weight 1,1 --format xml",
+        "char --rank=2 --weight 1,1",
+        "char --ra 2 --we 1,1",
+        "char --rank 2 --weight 1,1 --bogus",
+        "char --rank 2 --weight 1,1 extra",
+        "char --rank 2 --weight 1,1 -- x",
+        "cha --rank 2 --weight 1,1",
+        "--rank 2 char --weight 1,1",
+    ],
+)
+def test_parse_args_matches_full_parse(capsys, argv):
+    argv = argv.split()
+    assert parse_outcome(cli.parse_args, argv, capsys) == parse_outcome(parent_parse, argv, capsys)
+
+
+def reconstructed(tmp_path, capsys):
+    """(family file, standard output) of reconstruct --out into a new
+    regular file, checked against the recorded hashes."""
+    fam = tmp_path / "reference.json"
+    assert cli.main([*RECONSTRUCT, str(fam)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(fam.read_bytes()).hexdigest() == RECONSTRUCT_FAMILY_SHA256
+    assert hashlib.sha256(out).hexdigest() == RECONSTRUCT_STDOUT_SHA256
+    return fam.read_bytes(), out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_out_into_a_pipe(tmp_path, capsys):
+    family, out = reconstructed(tmp_path, capsys)
+    res = subprocess.run(
+        [sys.executable, "-m", "charrig", *RECONSTRUCT, "/dev/stdout"],
+        capture_output=True,
+        timeout=60,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (0, family + out, b"")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_into_a_fifo(tmp_path, capsys):
+    family, out = reconstructed(tmp_path, capsys)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = subprocess.Popen(["cat", str(fifo)], stdout=subprocess.PIPE)
+    try:
+        res = subprocess.run(
+            [sys.executable, "-m", "charrig", *RECONSTRUCT, str(fifo)],
+            capture_output=True,
+            timeout=60,
+        )
+        read, _ = reader.communicate(timeout=60)
+    finally:
+        reader.kill()
+        reader.wait()
+    assert (res.returncode, res.stdout, res.stderr) == (0, out, b"")
+    assert read == family
+
+
+def test_out_over_a_longer_file_leaves_no_tail(tmp_path, capsys):
+    family, out = reconstructed(tmp_path, capsys)
+    target = tmp_path / "old.json"
+    target.write_bytes(b"x" * (3 * len(family)))
+    assert cli.main([*RECONSTRUCT, str(target)]) == 0
+    assert capsys.readouterr().out.encode() == out
+    assert target.read_bytes() == family
+
+
+def test_out_through_a_symlink_rewrites_the_target(tmp_path, capsys):
+    family, _ = reconstructed(tmp_path, capsys)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"x" * (3 * len(family)))
+    link.symlink_to(target)
+    assert cli.main([*RECONSTRUCT, str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == family
+
+
+def test_out_keeps_the_mode_of_an_existing_file(tmp_path, capsys):
+    family, _ = reconstructed(tmp_path, capsys)
+    target = tmp_path / "old.json"
+    target.write_bytes(b"x")
+    target.chmod(0o604)
+    assert cli.main([*RECONSTRUCT, str(target)]) == 0
+    assert target.stat().st_mode & 0o777 == 0o604
+    assert target.read_bytes() == family
+
+
+def parent_write_error(path):
+    """The stderr line of the write cli.main made before it wrote in place."""
+    try:
+        open(path, "w", encoding="utf-8", newline="").close()
+    except OSError as exc:
+        return f"charrig: cannot write {path}: {exc}\n"
+    raise AssertionError(f"{path} is writable")
+
+
+@pytest.mark.parametrize(
+    "name,code",
+    [("", errno.EISDIR), ("missing/fam.json", errno.ENOENT)],
+)
+def test_out_unwritable_exits_2(tmp_path, capsys, name, code):
+    path = os.path.join(tmp_path, name)
+    expected = parent_write_error(path)
+    assert f"[Errno {code}]" in expected
+    assert cli.main([*RECONSTRUCT, path]) == 2
+    assert capsys.readouterr() == ("", expected)
+    assert os.listdir(tmp_path) == []

@@ -15,7 +15,7 @@ from charrig.lattice import (
     orbit_size,
 )
 from charrig.oracle import freudenthal_character
-from charrig.ring import CharElement, orbit_sum, unit
+from charrig.ring import CharElement, expand, orbit_sum, unit
 
 
 def w(l, *coords):
@@ -212,3 +212,45 @@ class TestRingLaws:
                 assert (orbit_sum(mu) * orbit_sum(nu)).coefficient(add(mu, nu)) >= 1
                 prod = freudenthal_character(2, mu) * freudenthal_character(2, nu)
                 assert prod.coefficient(add(mu, nu)) == 1
+
+
+@st.composite
+def unitriangular_systems(draw):
+    """(terms, weights, basis): weights 0..n-1 in order; basis[t] is 1 at
+    t, alone or with nonzero integers at later weights; terms holds any
+    integers on the weights."""
+    n = draw(st.integers(1, 10))
+    weights = list(range(n))
+    basis = {}
+    for t in weights:
+        below = {}
+        if t < n - 1 and draw(st.booleans()):
+            below = draw(
+                st.dictionaries(st.integers(t + 1, n - 1), st.integers(-3, 3).filter(bool))
+            )
+        basis[t] = {t: 1, **below}
+    terms = draw(st.dictionaries(st.sampled_from(weights), st.integers(-5, 5).filter(bool)))
+    return terms, weights, basis
+
+
+def dense_solve(terms, weights, basis):
+    """Reference for expand: the coefficient at each weight minus the
+    contributions of every weight above it, zero or not."""
+    n = {}
+    for i, t in enumerate(weights):
+        n[t] = terms.get(t, 0) - sum(n[s] * basis[s].get(t, 0) for s in weights[:i])
+    return n
+
+
+class TestExpand:
+    @given(unitriangular_systems())
+    @example(({0: 2, 1: 1, 2: 4}, [0, 1, 2], {0: {0: 1}, 1: {1: 1, 2: 3}, 2: {2: 1}}))
+    def test_matches_dense_solve(self, system):
+        terms, weights, basis = system
+        row = expand(terms, weights, basis.__getitem__)
+        assert row == dense_solve(terms, weights, basis)
+        total = {}
+        for t, n in row.items():
+            for s, c in basis[t].items():
+                total[s] = total.get(s, 0) + n * c
+        assert {s: c for s, c in total.items() if c} == terms
