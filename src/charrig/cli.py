@@ -75,16 +75,32 @@ def _read_json(path: str, what: str):
         raise CLIError(2, f"cannot read {what} {path}: {exc}") from None
 
 
+def _is_stdout(st: os.stat_result) -> bool:
+    """st names the file that sys.stdout writes to.  A stand-in such as
+    io.StringIO has no file descriptor and names none."""
+    try:
+        return os.path.samestat(st, os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
 def _write_file(path: str, text: str) -> None:
     """Write text to path in place, not atomically.  A regular file is cut
     to the new length after the write, not emptied before it: on ext4,
     writing into a file truncated to zero makes its close flush it to disk.
-    A pipe, FIFO or device cannot be truncated and is only written."""
-    data = text.encode("utf-8")
+    A pipe, FIFO or device cannot be truncated and is only written.  The
+    file standard output writes to, such as /dev/stdout, is written
+    through sys.stdout and not cut: its own descriptor would write from
+    offset 0, over what is printed before or after it."""
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-            fh.write(data)
-            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            st = os.fstat(fh.fileno())
+            if _is_stdout(st):
+                sys.stdout.write(text)
+                sys.stdout.flush()  # a failed write is reported here, as below
+                return
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(st.st_mode):
                 fh.truncate()
     except OSError as exc:
         raise CLIError(2, f"cannot write {path}: {exc}") from None

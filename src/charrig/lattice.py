@@ -73,7 +73,9 @@ def add(a: Eps, b: Eps) -> Eps:
     """Coset addition (well defined modulo the all-ones vector)."""
     if len(a) != len(b):
         raise ValueError("rank mismatch")
-    return canonical(list(map(operator.add, a, b)))
+    s = tuple(map(operator.add, a, b))
+    m = min(s)
+    return tuple([x - m for x in s]) if m else s
 
 
 @functools.cache
@@ -214,7 +216,17 @@ def height(eps: Eps) -> int:
     recursion order on dominant weights.  Shifting eps by m times the
     all-ones vector moves the pairing by m * l(l+1), so the closed form
     2 sum (l-i) eps_i - l(l+1) min(eps) needs no canonical copy.
+    Memoized per tuple; any other sequence, such as a list, is read as
+    its tuple.
     """
+    try:
+        return _height(eps)
+    except TypeError:  # unhashable
+        return _height(tuple(eps))
+
+
+@functools.cache
+def _height(eps: Eps) -> int:
     l = len(eps) - 1
     return 2 * sum(map(operator.mul, eps, range(l, -1, -1))) - l * (l + 1) * min(eps)
 

@@ -2,9 +2,15 @@
 
 Weight multiplicities come from the Freudenthal recursion (exact integer
 divisions throughout, checked), cross-checkable against the Weyl
-dimension product formula.  The recursion walks the root strings
-e_i - e_j over index pairs i < j, on weights aligned to lam's coordinate
-sum, where sorting a weight gives its dominant point.  Tensor product
+dimension product formula.  The recursion runs on weights aligned to
+lam's coordinate sum and keeps, for each dominant weight x it has
+processed and each root alpha = e_i - e_j (i < j), the tail
+sum_{k>=1} m(x + k alpha)(x + k alpha, alpha) of the root string through
+x.  At mu, a permutation fixing mu carries (i, j) to (a, b), a the first
+position holding mu_i and b the last holding mu_j; mu + e_a - e_b is
+dominant and processed before mu, so the tail at mu is its multiplicity
+times (mu_a - mu_b + 2) plus its own tail, or 0 when it is not a weight
+(root strings are unbroken).  No weight is sorted.  Tensor product
 multiplicities come from the Brauer-Klimyk formula: each weight of the
 factor with fewer weights is added to the other's highest weight plus
 rho and sorted into the dominant chamber, counted with the sign of the
@@ -139,35 +145,53 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
     rho_v = rho(l)
 
     def norm(v: Eps) -> int:  # |v + rho|^2
-        return sum((a + r) ** 2 for a, r in zip(v, rho_v))
+        return sum([(a + r) ** 2 for a, r in zip(v, rho_v)])
 
     top_norm = norm(lam)
-    # keyed by points aligned to lam's coordinate sum; a root string keeps
-    # that sum, so a point sorted decreasingly is its dominant key
-    mults: dict[Eps, int] = {lam: 1}
+    # the positive roots e_i - e_j, i < j, with j running down for each i:
+    # a pair's stabiliser image (a, b), a <= i and b >= j, then comes first
+    pairs = [(i, j) for i in range(n) for j in range(n - 1, i, -1)]
+    slot = {p: k for k, p in enumerate(pairs)}
+    positions = list(range(n))
+    # keyed by points aligned to lam's coordinate sum: the multiplicity and,
+    # for each pair, the tail sum_{k>=1} m(x + k alpha)(x + k alpha, alpha)
+    # of the string through x along alpha = e_i - e_j
+    seen: dict[Eps, tuple[int, list[int]]] = {lam: (1, [0] * len(pairs))}
+    mults = [1]
     for mu in doms[1:]:
         shift = (total_sum - sum(mu)) // n
-        mu_al = tuple(x + shift for x in mu)
-        acc = 0
-        for i, j in combinations(range(n), 2):  # the root e_i - e_j
+        mu_al = tuple([x + shift for x in mu])
+        # first[i] and last[j]: the first position holding mu_i and the last
+        # holding mu_j, each position itself when no coordinate repeats
+        first = last = positions
+        if len(set(mu_al)) < n:
+            first = [mu_al.index(v) for v in mu_al]
+            rev = mu_al[::-1]
+            last = [n - 1 - rev.index(v) for v in mu_al]
+        tails: list[int] = []
+        for k, (i, j) in enumerate(pairs):
+            a, b = first[i], last[j]
+            if a != i or b != j:
+                # a permutation fixing mu carries (i, j) to (a, b)
+                tails.append(tails[slot[a, b]])
+                continue
+            # x = mu + e_a - e_b is dominant and above mu, so it was processed
+            # before mu iff it is a weight; if not, the string ends at mu
             x = list(mu_al)
-            while True:
-                x[i] += 1
-                x[j] -= 1
-                # x's dominant point lies above mu in dominance, so it comes
-                # before mu in doms: it is in the weight set iff mults has it
-                m = mults.get(tuple(sorted(x, reverse=True)))
-                if m is None:
-                    break  # the root string through mu leaves the weight set
-                acc += m * (x[i] - x[j])
+            x[a] += 1
+            x[b] -= 1
+            hit = seen.get(tuple(x))
+            tails.append(hit[0] * (x[a] - x[b]) + hit[1][k] if hit else 0)
         denom = top_norm - norm(mu_al)
         if denom <= 0:
             raise ArithmeticError("norm gap must be positive below the highest weight")
-        m, rem = divmod(2 * acc, denom)
+        m, rem = divmod(2 * sum(tails), denom)
         if rem:
             raise ArithmeticError("Freudenthal division must be exact")
-        mults[mu_al] = m
-    elem = CharElement(l, dict(zip(doms, mults.values())))
+        seen[mu_al] = (m, tails)
+        mults.append(m)
+    # the keys are saturated_dominants' own canonical dominant weights
+    elem = CharElement._canonical(l, dict(zip(doms, mults)))
     _MEMO[key] = elem
     if cache_dir:
         _store_cached(cache_dir, l, doms, elem)

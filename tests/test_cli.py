@@ -500,6 +500,42 @@ def test_out_into_a_pipe(tmp_path, capsys):
     assert (res.returncode, res.stdout, res.stderr) == (0, family + out, b"")
 
 
+def parsed_in_sequence(text):
+    """The JSON documents that text holds one after another."""
+    decoder = json.JSONDecoder()
+    docs, at = [], 0
+    while at < len(text):
+        doc, at = decoder.raw_decode(text, at)
+        docs.append(doc)
+        at = len(text) - len(text[at:].lstrip())
+    return docs
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+@pytest.mark.parametrize("mode", ["wb", "ab"])  # the shell's > and >>
+def test_out_into_standard_outputs_own_file(tmp_path, capsys, mode):
+    # --out /dev/stdout opens the file standard output writes to afresh:
+    # written through that descriptor, the family would start at offset 0,
+    # over any earlier content, and the report would then overwrite it
+    family, out = reconstructed(tmp_path, capsys)
+    earlier = b'{"earlier": true}\n'
+    target = tmp_path / "out.json"
+    target.write_bytes(earlier)
+    with open(target, mode) as fh:
+        res = subprocess.run(
+            [sys.executable, "-m", "charrig", *RECONSTRUCT, "/dev/stdout"],
+            stdout=fh,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    assert (res.returncode, res.stderr) == (0, b"")
+    kept = earlier if mode == "ab" else b""
+    assert target.read_bytes() == kept + family + out
+    docs = parsed_in_sequence(target.read_text())
+    assert docs[-2:] == [json.loads(family), json.loads(out)]
+    assert docs[:-2] == ([{"earlier": True}] if mode == "ab" else [])
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
 def test_out_into_a_fifo(tmp_path, capsys):
     family, out = reconstructed(tmp_path, capsys)

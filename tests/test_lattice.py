@@ -86,9 +86,12 @@ class TestPrimitives:
         m = min(a)
         assert canonical(a) == tuple(x - m for x in a)
         s = tuple(x + y for x, y in zip(a, b))
-        assert add(a, b) == tuple(x - min(s) for x in s)
-        assert height(a) == 2 * sum((x - m) * r for x, r in zip(a, rho(l)))
-        assert height(list(a)) == height(a)
+        for b_seq in (b, tuple(b)):
+            total = add(a, b_seq)
+            assert type(total) is tuple and total == tuple(x - min(s) for x in s)
+        closed = 2 * sum((x - m) * r for x, r in zip(a, rho(l)))
+        for v in (a, list(a), a, list(a)):  # height is memoized: a miss, then hits
+            assert height(v) == closed
 
     def test_add_rank_mismatch(self):
         with pytest.raises(ValueError, match="rank mismatch"):

@@ -14,6 +14,7 @@ from charrig.lattice import (
     orbit_size,
     processing_key,
     rho,
+    saturated_dominants,
     zero_weight,
 )
 from charrig.oracle import (
@@ -41,6 +42,40 @@ def naive_decompose(f):
         out[mu] = c
         residue = residue - c * freudenthal_character(f.rank, mu)
     return out
+
+
+def string_walk_character(l, lam):
+    """The Freudenthal recursion by walking each root string e_i - e_j
+    through mu step by step, sorting every point to read its multiplicity:
+    the reference for the string tails that freudenthal_character keeps."""
+    doms = saturated_dominants(lam)
+    n = l + 1
+    rho_v = rho(l)
+
+    def norm(v):  # |v + rho|^2
+        return sum((a + r) ** 2 for a, r in zip(v, rho_v))
+
+    # keyed by points aligned to lam's coordinate sum, where sorting a
+    # point decreasingly gives its dominant key
+    mults = {lam: 1}
+    for mu in doms[1:]:
+        shift = (sum(lam) - sum(mu)) // n
+        mu_al = tuple(x + shift for x in mu)
+        acc = 0
+        for i, j in itertools.combinations(range(n), 2):
+            x = list(mu_al)
+            while True:
+                x[i] += 1
+                x[j] -= 1
+                m = mults.get(tuple(sorted(x, reverse=True)))
+                if m is None:
+                    break  # the root string through mu leaves the weight set
+                acc += m * (x[i] - x[j])
+        m, rem = divmod(2 * acc, norm(lam) - norm(mu_al))
+        if rem:
+            raise ArithmeticError("Freudenthal division must be exact")
+        mults[mu_al] = m
+    return dict(zip(doms, mults.values()))
 
 
 def invariant_elements(l):
@@ -88,6 +123,33 @@ class TestFreudenthal:
             freudenthal_character(2, (2, 0))
         with pytest.raises(ValueError, match="not dominant"):
             freudenthal_character(2, (0, 2, 0))
+
+    @pytest.mark.parametrize(
+        "l,bound", [(1, 60), (2, 90), (3, 50), (4, 40), (5, 30), (6, 24), (11, 24)]
+    )
+    def test_matches_the_string_walk(self, l, bound):
+        from charrig import oracle
+
+        oracle.clear_memo()
+        for lam in dominant_weights_up_to(l, bound):
+            terms = freudenthal_character(l, lam).terms
+            assert list(terms.items()) == list(string_walk_character(l, lam).items())
+
+    # the recursion's exactness checks raise, so they hold under python -O;
+    # a false rho makes the adjoint's norm gap 2 + 2 rho_0 - 2 rho_2 and
+    # its Freudenthal numerator 12
+    @pytest.mark.parametrize(
+        "false_rho,match",
+        [((0, 0, 1), "norm gap must be positive"), ((3, 0, 0), "division must be exact")],
+    )
+    def test_exactness_checks_raise(self, monkeypatch, false_rho, match):
+        from charrig import oracle
+
+        monkeypatch.setattr(oracle, "_MEMO", {})
+        monkeypatch.setattr(oracle, "rho", lambda l: false_rho)
+        with pytest.raises(ArithmeticError, match=match):
+            freudenthal_character(2, w(2, 1, 1))
+        assert not oracle._MEMO
 
 
 class TestWeylDim:
