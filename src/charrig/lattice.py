@@ -80,8 +80,10 @@ def add(a: Eps, b: Eps) -> Eps:
 
 @functools.cache
 def orbit(d: Eps) -> frozenset[Eps]:
-    """All distinct coordinate permutations (each still canonical), each
-    built once, in lexicographic order from the ascending sort."""
+    """All distinct coordinate permutations (each still canonical), as a
+    frozenset.  They are built once each, in lexicographic order from the
+    ascending sort; that is only the build order, and the set's iteration
+    order is unspecified."""
     p = sorted(d)
     out = [tuple(p)]
     while True:

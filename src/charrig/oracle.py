@@ -15,6 +15,12 @@ multiplicities come from the Brauer-Klimyk formula: each weight of the
 factor with fewer weights is added to the other's highest weight plus
 rho and sorted into the dominant chamber, counted with the sign of the
 sort, so no product is formed and no constituent's character is read.
+The pair differences of that sum are packed, one biased field of w bits
+per root, into one integer, where w is the smallest multiple of 16 that
+holds the widest difference; one subtraction per weight then tells a sum
+already strictly decreasing (every field's top bit set, no sort) from one
+on a wall (some field at the bias) and from one to sort, whose sign is
+the parity of the fields with a clear top bit.
 decompose writes any invariant element in the character basis by
 unitriangular elimination, the same ring.expand that
 rigidity.extract_structure_constants runs on a family.
@@ -31,7 +37,9 @@ caller already holds; nothing about a file is kept.
 """
 
 import contextlib
+import functools
 import json
+import operator
 import os
 from itertools import combinations
 
@@ -229,6 +237,35 @@ def decompose(f: CharElement) -> dict[Eps, int]:
     return {mu: d for mu, d in row.items() if d}
 
 
+@functools.cache
+def _pair_fields(n: int, w: int) -> tuple[int, ...]:
+    """Coefficients c_i such that sum x_i c_i is sum_k (x_j - x_i) 2^(w k),
+    the k-th pair i < j taken in combinations order.  A difference may be
+    negative, so the sum alone is no packing into fields; the biased
+    C - D_x that tensor_decompose reads is."""
+    coeffs = [0] * n
+    for k, (i, j) in enumerate(combinations(range(n), 2)):
+        coeffs[i] -= 1 << (w * k)
+        coeffs[j] += 1 << (w * k)
+    return tuple(coeffs)
+
+
+def _field_width(spread: int) -> int:
+    """The smallest multiple of 16 with 2^(w-1) > spread + 1.  When spread
+    bounds every |y_i - y_j| of a Brauer-Klimyk walk, each field
+    B - 1 + y_i - y_j, B = 2^(w-1), lies in [0, 2^w)."""
+    return 16 * ((spread + 1).bit_length() // 16 + 1)
+
+
+@functools.cache
+def _orbit_fields(d: Eps, w: int) -> tuple[tuple[Eps, ...], tuple[int, ...]]:
+    """The orbit of d as a tuple, and beside each point x its packed pair
+    differences D_x = sum x_i c_i (see _pair_fields)."""
+    points = tuple(orbit(d))
+    coeffs = _pair_fields(len(d), w)
+    return points, tuple([sum(map(operator.mul, x, coeffs)) for x in points])
+
+
 def tensor_decompose(
     l: int, mu: Eps, nu: Eps, cache_dir: str | None = None
 ) -> dict[Eps, int]:
@@ -236,26 +273,49 @@ def tensor_decompose(
     characters of mu and nu splits into characters, the nonzero ones only.
 
     By the Brauer-Klimyk formula, ch_a * ch_b is the sum over the weights
-    x of ch_a, with multiplicity, of sign(w) ch_{w(x + b + rho) - rho},
-    where w sorts x + b + rho into decreasing order and x is dropped when
-    two coordinates of x + b + rho are equal.  The weights are walked for
-    the factor with fewer of them, orbit by orbit; no product is formed
-    and no constituent's character is read."""
+    x of ch_a, with multiplicity, of sign(sigma) ch_{sigma(y) - rho}, where
+    y = x + b + rho, sigma sorts y into decreasing order, and x is dropped
+    when two coordinates of y are equal.  The weights are walked for the
+    factor with fewer of them, orbit by orbit; no product is formed and
+    no constituent's character is read.
+
+    Each pair i < j owns a w-bit field of one integer F = C - D_x, which
+    holds y_i - y_j + B - 1, B = 2^(w-1): C packs s_i - s_j + B - 1 for
+    s = b + rho, once per call, and D_x packs x_j - x_i, memoized per
+    orbit.  The weights of ch_a have coordinates in [0, a_0], so
+    (s_0 - s_{n-1}) + a_0 bounds every |y_i - y_j|; with w from
+    _field_width over it, every field lies in [0, 2^w) and none borrows
+    from the next.  When every field has its top bit set, y is strictly
+    decreasing and x + b itself, shifted to canonical form, gets +m: no
+    sort, no sign.  When some field equals B - 1, y lies on a wall.
+    Otherwise y is sorted, and the fields with a clear top bit are its
+    inversions: their parity is the sign."""
     chars = [freudenthal_character(l, lam, cache_dir) for lam in (mu, nu)]
-    sizes = [sum(orbit_size(d) for d in ch.terms) for ch in chars]
-    walked, top = (chars[0], nu) if sizes[0] <= sizes[1] else (chars[1], mu)
+    sizes = [sum(map(orbit_size, ch.terms)) for ch in chars]
+    walked, other = chars if sizes[0] <= sizes[1] else chars[::-1]
+    lam, top = next(iter(walked.terms)), next(iter(other.terms))  # canonical
     n = l + 1
     rho_v = rho(l)
-    shift = [a + r for a, r in zip(top, rho_v)]
+    shift = [a + r for a, r in zip(top, rho_v)]  # s, strictly decreasing
+    w = _field_width(shift[0] + lam[0])  # shift[-1] is 0
+    ones = ((1 << (w * n * l // 2)) - 1) // ((1 << w) - 1)  # 1 in each field
+    high = ones << (w - 1)  # B in each field
+    wall = high - ones  # B - 1 in each field
+    base = wall - sum(map(operator.mul, shift, _pair_fields(n, w)))
     out: dict[Eps, int] = {}
     for d, m in walked.terms.items():
-        for x in orbit(d):
-            y = [a + b for a, b in zip(x, shift)]
-            if len(set(y)) < n:
+        for x, packed in zip(*_orbit_fields(d, w)):
+            f = base - packed
+            if f & high == high:  # y strictly decreasing: no sort, no sign
+                low = x[-1]
+                key = tuple([a + b - low for a, b in zip(x, top)])
+                out[key] = out.get(key, 0) + m
+                continue
+            g = f ^ wall  # a zero field where y_i = y_j
+            if (g - ones) & ~g & high:
                 continue  # y lies on a wall: it contributes nothing
-            minus = sum([a < b for a, b in combinations(y, 2)]) & 1  # sign of the sort
-            y.sort(reverse=True)
+            y = sorted(map(operator.add, x, shift), reverse=True)
             low = y[-1]  # y - rho decreases weakly, so its minimum is last
-            lam = tuple([a - r - low for a, r in zip(y, rho_v)])
-            out[lam] = out.get(lam, 0) + (-m if minus else m)
-    return {lam: c for lam, c in out.items() if c}
+            key = tuple([a - r - low for a, r in zip(y, rho_v)])
+            out[key] = out.get(key, 0) + (-m if (~f & high).bit_count() & 1 else m)
+    return {key: c for key, c in out.items() if c}

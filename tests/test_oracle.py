@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from charrig.lattice import (
     dual_weight,
     from_fundamental,
     fundamental_weight,
+    orbit,
     orbit_size,
     processing_key,
     rho,
@@ -18,6 +20,8 @@ from charrig.lattice import (
     zero_weight,
 )
 from charrig.oracle import (
+    _field_width,
+    _pair_fields,
     decompose,
     freudenthal_character,
     tensor_decompose,
@@ -76,6 +80,32 @@ def string_walk_character(l, lam):
             raise ArithmeticError("Freudenthal division must be exact")
         mults[mu_al] = m
     return dict(zip(doms, mults.values()))
+
+
+def brauer_klimyk_reference(l, mu, nu):
+    """The Brauer-Klimyk row point by point: for each weight x of the
+    factor with fewer weights, y = x + top + rho is dropped on a wall, and
+    otherwise sorted and counted with the parity of its inversions.  The
+    reference for the packed pair differences of tensor_decompose, key
+    order included."""
+    chars = [freudenthal_character(l, lam) for lam in (mu, nu)]
+    sizes = [sum(orbit_size(d) for d in ch.terms) for ch in chars]
+    walked, top = (chars[0], nu) if sizes[0] <= sizes[1] else (chars[1], mu)
+    n = l + 1
+    rho_v = rho(l)
+    shift = [a + r for a, r in zip(top, rho_v)]
+    out = {}
+    for d, m in walked.terms.items():
+        for x in orbit(d):
+            y = [a + b for a, b in zip(x, shift)]
+            if len(set(y)) < n:
+                continue  # y lies on a wall: it contributes nothing
+            minus = sum([a < b for a, b in itertools.combinations(y, 2)]) & 1
+            y.sort(reverse=True)
+            low = y[-1]
+            lam = tuple([a - r - low for a, r in zip(y, rho_v)])
+            out[lam] = out.get(lam, 0) + (-m if minus else m)
+    return {lam: c for lam, c in out.items() if c}
 
 
 def invariant_elements(l):
@@ -283,13 +313,13 @@ class TestTensorDecompose:
 
 
 # the largest height of a factor per rank in the differential test
-TENSOR_BOUND = {1: 40, 2: 30, 3: 30, 4: 30, 5: 30}
+TENSOR_BOUND = {1: 40, 2: 30, 3: 30, 4: 30, 5: 30, 6: 30, 7: 28}
 
 
 @st.composite
 def tensor_cases(draw):
-    """(l, mu, nu) at A1-A5, nu half the time the zero weight, mu or mu*."""
-    l = draw(st.integers(1, 5))
+    """(l, mu, nu) at A1-A7, nu half the time the zero weight, mu or mu*."""
+    l = draw(st.integers(1, 7))
     weights = dominant_weights_up_to(l, TENSOR_BOUND[l])
     mu = draw(st.sampled_from(weights))
     nu = draw(
@@ -308,11 +338,98 @@ class TestBrauerKlimyk:
     @example((2, w(2, 3, 1), w(2, 3, 1)))
     @example((3, w(3, 2, 1, 0), w(3, 0, 1, 2)))
     @example((5, w(5, 1, 0, 2, 0, 0), zero_weight(5)))
+    @example((6, w(6, 0, 1, 0, 0, 1, 0), w(6, 0, 1, 0, 0, 1, 0)))
+    @example((7, w(7, 0, 1, 0, 0, 0, 0, 0), w(7, 0, 0, 0, 0, 0, 1, 0)))
     def test_matches_product_and_decompose(self, case):
         l, mu, nu = case
         expected = decompose(freudenthal_character(l, mu) * freudenthal_character(l, nu))
         assert tensor_decompose(l, mu, nu) == expected
         assert tensor_decompose(l, nu, mu) == expected
+
+    @staticmethod
+    def assert_matches_reference(l, mu, nu):
+        row = tensor_decompose(l, mu, nu)
+        expected = brauer_klimyk_reference(l, mu, nu)
+        assert row == expected
+        assert list(row) == list(expected)
+
+    @pytest.mark.parametrize(
+        "l,bound", [(1, 60), (2, 40), (3, 30), (4, 24), (5, 20), (6, 16)]
+    )
+    def test_matches_the_reference_on_every_pair_in_bound(self, l, bound):
+        weights = dominant_weights_up_to(l, bound)
+        for mu, nu in itertools.product(weights, weights):
+            self.assert_matches_reference(l, mu, nu)
+
+    # tops with zero fundamental coordinates, where many x + top + rho lie
+    # on a wall; the zero weight; and (mu, mu*) pairs, up to A7's 28 fields
+    EDGE_CASES = [
+        (2, (0, 5), (3, 0)),
+        (3, (2, 0, 1), (0, 3, 0)),
+        (4, (1, 0, 0, 2), (0, 2, 0, 0)),
+        (5, (0, 1, 0, 1, 0), (2, 0, 0, 0, 1)),
+        (6, (0, 0, 2, 0, 0, 0), (1, 0, 0, 0, 0, 1)),
+        (7, (0, 0, 0, 1, 0, 0, 0), (0, 1, 0, 0, 0, 1, 0)),
+        (3, (0, 0, 0), (0, 0, 0)),
+        (6, (0, 0, 0, 0, 0, 0), (1, 0, 2, 0, 0, 0)),
+        (7, (0, 2, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 0, 0)),
+        (3, (2, 1, 0), (0, 1, 2)),
+        (5, (3, 0, 1, 0, 0), (0, 0, 1, 0, 3)),
+        (7, (1, 0, 0, 0, 0, 1, 1), (1, 1, 0, 0, 0, 0, 1)),
+    ]
+
+    @pytest.mark.parametrize("l,mu,nu", EDGE_CASES)
+    def test_matches_the_reference_on_walls_zero_and_duals(self, l, mu, nu):
+        self.assert_matches_reference(l, w(l, *mu), w(l, *nu))
+        self.assert_matches_reference(l, w(l, *nu), w(l, *mu))
+
+    # A1 pairs whose largest pair difference y_0 - y_1 = a + 1 + b passes
+    # 2^15 or 2^16, so 16-bit fields cannot hold it; rank 2 and up has no
+    # such weight within Freudenthal's reach
+    @pytest.mark.parametrize("a,b", [(32765, 7), (65533, 4), (70000, 3)])
+    def test_wide_fields_give_the_clebsch_gordan_row(self, a, b):
+        assert _field_width(a + 1 + b) == 32
+        row = tensor_decompose(1, (a, 0), (b, 0))
+        assert row == {(a + b - 2 * k, 0): 1 for k in range(b + 1)}
+        self.assert_matches_reference(1, (a, 0), (b, 0))
+
+    def test_field_width_is_the_smallest_that_holds_the_spread(self):
+        # 2^(w-1) > spread + 1, w a multiple of 16
+        assert [_field_width(s) for s in (0, 2**15 - 2, 2**15 - 1, 2**31 - 2, 2**31 - 1)] == [
+            16, 16, 32, 32, 48
+        ]
+
+    # (l, walked highest weight, top) in fundamental coordinates
+    FIELD_CASES = [
+        (1, (7,), (32765,)),
+        (1, (4,), (65533,)),
+        (1, (32766,), (0,)),
+        (2, (3, 1), (40, 0)),
+        (3, (2, 0, 2), (0, 5, 1)),
+        (5, (1, 0, 1, 0, 1), (0, 0, 0, 0, 0)),
+        (7, (1, 0, 0, 0, 0, 0, 1), (0, 3, 0, 0, 0, 1, 0)),
+    ]
+
+    @pytest.mark.parametrize("l,lam,top", FIELD_CASES)
+    def test_fields_stay_in_range(self, l, lam, top):
+        """F = C - D_x, packed from _pair_fields at the width the rule
+        gives, holds B - 1 + y_i - y_j in field k of the k-th pair i < j,
+        each in [0, 2^w), for every weight x of lam and y = x + top + rho."""
+        n = l + 1
+        lam, top = w(l, *lam), w(l, *top)
+        shift = [a + r for a, r in zip(top, rho(l))]
+        width = _field_width(shift[0] + lam[0])
+        coeffs = _pair_fields(n, width)
+        half = 1 << (width - 1)
+        pairs = list(itertools.combinations(range(n), 2))
+        ones = sum(1 << (width * k) for k in range(len(pairs)))
+        for d in saturated_dominants(lam):
+            for x in orbit(d):
+                y = [a + b for a, b in zip(x, shift)]
+                fields = [half - 1 + y[i] - y[j] for i, j in pairs]
+                assert all(0 <= f < 2 * half for f in fields)
+                packed = (half - 1) * ones - sum(map(operator.mul, y, coeffs))
+                assert packed == sum(f << (width * k) for k, f in enumerate(fields))
 
     # rows recorded from the product-and-decompose route at commit 29f1ddc,
     # keyed by fundamental coordinates
