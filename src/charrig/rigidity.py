@@ -14,14 +14,19 @@ height bound, so _layout computes them once per (rank, bound), the one
 truth table: one row per unordered pair, the true family's
 Brauer-Klimyk row from tensor_decompose, one record per ordered pair
 with its row's slot and its triples' dual slots, the skipped triples,
-and which rows read each member.  lr_table is those rows.  The support
-check reads only each weight's small-support sites, which _small_support
-keeps per weight, so it builds no table.  Both checks compare a family
+each weight's place in the index, which rows read each member and,
+filled as checks first reach them, which comparisons read each entry of
+a row.  lr_table is those rows.  The support check reads only each
+weight's small-support sites, which _small_support keeps per weight, so
+it builds no table.  Both checks compare a family
 with true_family, the family of true characters, and read again only
 what a member that differs from it changes.  Structure constants do not
-depend on the basis they are written in, so a row of the duality check
-that reads a changed member is rewritten through the character-basis
-expansion of the members that differ, and no ring product is formed.
+depend on the basis they are written in, so the duality check writes a
+member that differs as the true character plus a sum of characters
+below it (through _inverse_kostka, h(mu) in the character basis, kept
+per weight), and a row that reads it as its difference from the truth's
+row; no ring product is formed.  The truth's rows satisfy the identity,
+so only the comparisons that read a moved entry are made.
 extract_structure_constants is the product route, and the tests'
 reference for those rows.
 """
@@ -258,7 +263,9 @@ def multiplicity_from_product(
     return _recursion_step(fam.members, mu, nu, row).e_coefficient(t)
 
 
-class _Layout(collections.namedtuple("_Layout", "pairs rows slots skipped users readers")):
+class _Layout(
+    collections.namedtuple("_Layout", "pairs rows slots skipped positions readers entry_readers")
+):
     """The one truth table of a rank and bound: what the duality check
     reads of the true family, none of it a candidate's members.
 
@@ -272,18 +279,29 @@ class _Layout(collections.namedtuple("_Layout", "pairs rows slots skipped users 
     (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
     those triples (mu, nu, lam), in the order the pairs give them.
 
-    users[slot] lists, in ascending order, the indices into pairs whose
-    comparisons read that slot, as their own row or as a dual slot.
+    positions[lam] is lam's place in the index, which ascends in
+    processing order, so pairs run in the order of their factors' places
+    and each row in descending order of its weights' places.
     readers[lam], keyed by the index set, lists the ascending slots whose
     row reads member lam, as one of its two factors or at a nonzero
     coefficient.
 
+    entry_readers, filled on a check's first use of an entry, maps slot k
+    to {t: [c, ...]}: the comparisons that read entry t of rows[k], as
+    their own row or as their dual row.  Each is the comparison of pair
+    (mu, nu), slot k', at lam with its dual slot d at mu, written
+    c = (positions[mu], positions[nu], -positions[lam], mu, nu, lam, k', d),
+    so that the c sort in the order of pairs and their rows' weights.
+    At most four comparisons read an entry: with (x, y) either order of
+    k's pair, those of (x, y) at t and of (t, y*) at x.
+
     The table is kept for the life of the process, and
-    oracle.clear_memo() leaves it in place.  That is exact: the rows are
-    Littlewood-Richardson coefficients, fixed by (l, bound), and a
-    recomputed character gives the same rows.  Only a character read
-    from a cache file whose lower multiplicities were edited, which the
-    loader does not detect, makes the memo disagree with the truth."""
+    oracle.clear_memo() leaves it in place, as it leaves _inverse_kostka's
+    memo.  That is exact: the rows are Littlewood-Richardson
+    coefficients, fixed by (l, bound), and a recomputed character gives
+    the same rows.  Only a character read from a cache file whose lower
+    multiplicities were edited, which the loader does not detect, makes
+    the memo disagree with the truth."""
 
     __slots__ = ()
 
@@ -313,23 +331,21 @@ def _layout(l: int, bound: int) -> _Layout:
             rows.append((a, b, {t: row.get(t, 0) for t in saturated_dominants(lam0)}))
     pairs = []
     skipped = []
-    users: list[list[int]] = [[] for _ in rows]
     # slot holds every ordered pair once, in pair order
-    for i, ((mu, nu), k) in enumerate(slot.items()):
+    for (mu, nu), k in slot.items():
         weights = rows[k][2]
         duals = tuple(map(slot.get, zip(weights, itertools.repeat(dual_weight(nu)))))
         if None in duals:
             skipped += [(mu, nu, lam) for lam, d in zip(weights, duals) if d is None]
         pairs.append((mu, nu, k, duals))
-        for s in {k, *duals} - {None}:
-            users[s].append(i)
     return _Layout(
         tuple(pairs),
         tuple(rows),
         slot,
         tuple(skipped),
-        tuple(map(tuple, users)),
+        {lam: p for p, lam in enumerate(index)},
         {lam: tuple(ks) for lam, ks in readers.items()},
+        {},
     )
 
 
@@ -367,6 +383,71 @@ def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> lis
     return violations
 
 
+@functools.cache
+def _inverse_kostka(mu: Eps) -> dict[Eps, int]:
+    """K^-1(mu): h(mu) in the character basis, decompose(orbit_sum(mu)),
+    the nonzero coefficients only.  Every caller is handed the same dict,
+    which none may change.
+
+    Like _layout it is truth data kept for the life of the process, and
+    oracle.clear_memo() leaves it in place: exact, except after the
+    undetected edit of a cache file's lower multiplicities."""
+    return decompose(orbit_sum(mu))
+
+
+def _row_delta(layout: _Layout, k: int, changed: dict) -> dict[Eps, int]:
+    """How the structure constants N of slot k's pair (a, b) differ from
+    the truth's row R, the nonzero differences only.  changed maps each
+    member that differs from the truth's to E_lam, f_lam = ch_lam +
+    sum_s E_lam[s] ch_s, in decreasing processing order.
+
+    In the character basis f_a * f_b is R plus dP, the truth's rows of
+    (s, b), (a, r) and (s, r) weighted by E_a[s], E_b[r] and both, and
+    sum_t N[t] f_t has N[t] + sum_u N[u] E_u[t] at ch_t.  So dN[t] =
+    dP[t] - sum_u (R[u] + dN[u]) E_u[t], u over the changed members.
+    E_u[t] != 0 only for t strictly below u, so taking the changed u
+    top-down, dN[u] is final when u is reached."""
+    rows, slots = layout.rows, layout.slots
+    a, b, row = rows[k]
+    ea, eb = changed.get(a), changed.get(b)
+    parts = []
+    if ea:
+        parts += [(c, slots[s, b]) for s, c in ea.items()]
+        if eb:
+            parts += [(cs * cr, slots[s, r]) for s, cs in ea.items() for r, cr in eb.items()]
+    if eb:
+        parts += [(c, slots[a, r]) for r, c in eb.items()]
+    delta: dict[Eps, int] = {}
+    for c, slot in parts:
+        for t, n in rows[slot][2].items():
+            if n:
+                delta[t] = delta.get(t, 0) + c * n
+    for u, e in changed.items():
+        c = row.get(u, 0) + delta.get(u, 0)
+        if c:
+            for s, x in e.items():
+                delta[s] = delta.get(s, 0) - c * x
+    return {t: d for t, d in delta.items() if d}
+
+
+def _entry_readers(layout: _Layout, k: int, t: Eps) -> list[tuple]:
+    """The comparisons that read entry t of rows[k]: see _Layout."""
+    rows, slots, pos = layout.rows, layout.slots, layout.positions
+    a, b, row = rows[k]
+    out = []
+    for x, y in ((a, b), (b, a)) if a != b else ((a, b),):
+        ys = dual_weight(y)
+        s = slots.get((t, ys))
+        if s is not None:
+            # pair (x, y) compares its entry at t with entry x of its dual
+            # slot s = (t, y*), and pair (t, y*), whose slot is s, its entry
+            # at x with entry t of its dual slot (x, y) = k
+            out.append((pos[x], pos[y], -pos[t], x, y, t, k, s))
+            if x in rows[s][2]:
+                out.append((pos[t], pos[ys], -pos[x], t, ys, x, s, k))
+    return out
+
+
 def check_duality_condition(
     fam: CharacterFamily, truth: CharacterFamily
 ) -> tuple[list[tuple], list[tuple]]:
@@ -377,51 +458,59 @@ def check_duality_condition(
     Returns (violations, skipped): violations are
     (mu, nu, lam, lhs, rhs) tuples, skipped are (mu, nu, lam) triples
     whose dual pair (lam, nu*) has no row in bound.  Raises ValueError
-    when the index set is not the dominant weights in bound.
+    when the index set is not the dominant weights in bound, and when a
+    member that differs from the truth's is not unitriangular with
+    support in its saturated set.
 
     Each row is the truth's unless it reads a member that differs from
-    the truth's.  Such a row is rebuilt in the character basis: with D_t
-    the decomposition of a member that differs and {t: 1} for any other,
-    f_a * f_b is the sum over s, r of D_a[s] * D_b[r] times the truth's
-    row of (s, r), and ring.expand writes it in the basis D.  The truth's
-    rows satisfy the identity (c^lam_{mu nu} = c^mu_{lam nu*}), so only
-    the pairs that read a rebuilt row are compared."""
+    the truth's, and such a row is computed only as its difference from
+    the truth's row (_row_delta); no ring product is formed.  The truth's
+    rows satisfy the identity (c^lam_{mu nu} = c^mu_{lam nu*}), so a
+    triple can fail only where one of its two entries moved, and only
+    the comparisons that read a moved entry are made, in pair order."""
     truth_members = truth.members
     if fam.members.keys() != truth_members.keys():
         raise ValueError("index set is not exactly the dominant weights in bound")
     layout = _layout(fam.rank, fam.bound)
-    changed = {
-        lam: decompose(f)
-        for lam, f in fam.members.items()
-        if f is not truth_members[lam] and f != truth_members[lam]
-    }
-
-    def basis(t: Eps) -> dict[Eps, int]:
-        return changed.get(t) or {t: 1}
-
-    # top-down, a row whose factors are the truth's reads basis(lam) only
-    # where its coefficient at lam is nonzero, so it is the truth's row
-    # while every changed member's coefficient there is 0
+    changed = {}
+    for lam, f in fam.members.items():
+        t = truth_members[lam]
+        if f is t or f == t:
+            continue
+        if f.coefficient(lam) != 1:
+            raise ValueError(f"member {lam} is not unitriangular")
+        # the true character's terms are the whole saturated set
+        if not f.terms.keys() <= t.terms.keys():
+            raise ValueError(f"member {lam} has support outside its saturated set")
+        # decompose is linear: f = ch_lam + sum_s e[s] ch_s, e the sum of
+        # (f - ch_lam)[mu] K^-1(mu)
+        e: dict[Eps, int] = {}
+        for mu, n in t.terms.items():
+            d = f.terms.get(mu, 0) - n
+            if d:
+                for s, x in _inverse_kostka(mu).items():
+                    e[s] = e.get(s, 0) + d * x
+        changed[lam] = {s: x for s, x in e.items() if x}
+    changed = dict(sorted(changed.items(), key=lambda kv: processing_key(kv[0]), reverse=True))
+    # a row whose factors are the truth's moves only where it reads a
+    # changed member at a nonzero coefficient
     stale = {k for lam in changed for k in layout.readers[lam]}
-    rows = [row for _, _, row in layout.rows]
-    for k in stale:
-        a, b, row = layout.rows[k]
-        terms: dict[Eps, int] = {}
-        for s, ds in basis(a).items():
-            for r, dr in basis(b).items():
-                c = ds * dr
-                for t, n in layout.rows[layout.slots[s, r]][2].items():
-                    terms[t] = terms.get(t, 0) + c * n
-        rows[k] = expand(terms, row, basis)
+    deltas = {k: _row_delta(layout, k, changed) for k in stale}
+    compared = set()
+    for k, delta in deltas.items():
+        readers = layout.entry_readers.setdefault(k, {})
+        for t in delta:
+            found = readers.get(t)
+            if found is None:
+                found = readers[t] = _entry_readers(layout, k, t)
+            compared.update(found)
+    rows, unmoved = layout.rows, {}
     violations = []
-    for i in sorted({i for k in stale for i in layout.users[k]}):
-        mu, nu, k, duals = layout.pairs[i]
-        # rows[k] and duals both follow the row's weights
-        for (lam, lhs), dual in zip(rows[k].items(), duals):
-            if dual is not None:
-                rhs = rows[dual].get(mu, 0)
-                if lhs != rhs:
-                    violations.append((mu, nu, lam, lhs, rhs))
+    # the comparisons sort in pair order, then in their row's order
+    for _, _, _, mu, nu, lam, k, d in sorted(compared):
+        dl, dr = deltas.get(k, unmoved).get(lam, 0), deltas.get(d, unmoved).get(mu, 0)
+        if dl != dr:
+            violations.append((mu, nu, lam, rows[k][2][lam] + dl, rows[d][2].get(mu, 0) + dr))
     return violations, list(layout.skipped)
 
 

@@ -47,7 +47,7 @@ from charrig.rigidity import (
     validate_family,
     verify_family,
 )
-from charrig.ring import CharElement, expand, orbit_sum, unit
+from charrig.ring import CharElement, orbit_sum, unit
 from charrig.serialize import dump_doc, family_from_doc, family_to_doc
 
 
@@ -450,6 +450,60 @@ class TestDualityCondition:
         dual_row = extract_structure_constants(fam10, w(0, 0), w(1, 0))
         assert dual_row[w(1, 0)] == 1
 
+    @pytest.mark.parametrize(
+        "terms,match",
+        [
+            ({w(1, 1): 2, w(0, 0): 4}, "not unitriangular"),  # 2 ch_(1,1)
+            ({w(3, 0): 1, w(1, 1): 1, w(0, 0): 2}, "support outside"),  # a term above (1,1)
+        ],
+    )
+    def test_member_off_the_basis_raises(self, fam10, terms, match):
+        # the check writes a changed member over the characters below it,
+        # which holds only for a unitriangular member on its saturated set:
+        # 2 ch_(1,1) would pass it, though the product route finds 5
+        # violations
+        members = dict(fam10.members)
+        members[w(1, 1)] = CharElement(2, terms)
+        fam = CharacterFamily(2, 10, members)
+        with pytest.raises(ValueError, match=match):
+            validate_family(fam)
+        with pytest.raises(ValueError, match=match):
+            check_duality_condition(fam, fam10)
+        if match == "not unitriangular":
+            assert len(naive_duality(fam)[0]) == 5
+
+
+class TestInverseKostka:
+    """_inverse_kostka(mu): h(mu) in the character basis, kept per weight."""
+
+    @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
+    def test_rows_rebuild_the_orbit_sums(self, l, bound):
+        for mu in dominant_weights_up_to(l, bound):
+            total = CharElement(l, {})
+            for s, c in rigidity._inverse_kostka(mu).items():
+                total = total + c * freudenthal_character(l, s)
+            assert total == orbit_sum(mu)
+
+    def test_memo_is_unchanged_by_checks(self):
+        # every caller shares the memoized dict, so a check that changed
+        # one would show here
+        rigidity._inverse_kostka.cache_clear()
+        truth = true_family(2, 24)
+        sites = perturbation_sites(truth)
+        rng = random.Random(24)
+        for _ in range(100):
+            fam = truth
+            for _ in range(rng.randint(1, 3)):
+                lam, mu = rng.choice(sites)
+                fam = perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2]))
+            check_duality_condition(fam, truth)
+        kept = rigidity._inverse_kostka.cache_info()
+        assert kept.currsize > 1
+        for mu in dominant_weights_up_to(2, 24):
+            assert rigidity._inverse_kostka(mu) == oracle.decompose(orbit_sum(mu))
+        # every memoized row was among those compared
+        assert rigidity._inverse_kostka.cache_info().hits - kept.hits == kept.currsize
+
 
 class TestReference:
     """_layout's truth table: the true family's rows and the rows that
@@ -568,14 +622,15 @@ def rows_holding(l, bound, lam):
 
 @pytest.fixture
 def built_rows(monkeypatch):
-    """The weights of every row the duality check builds, in order."""
+    """The slot of every row the duality check builds, in order."""
     built = []
+    row_delta = rigidity._row_delta
 
-    def counted(terms, weights, basis):
-        built.append(weights)
-        return expand(terms, weights, basis)
+    def counted(layout, k, changed):
+        built.append(k)
+        return row_delta(layout, k, changed)
 
-    monkeypatch.setattr(rigidity, "expand", counted)
+    monkeypatch.setattr(rigidity, "_row_delta", counted)
     return built
 
 
@@ -806,10 +861,31 @@ class TestLayout:
             for lam, dual in zip(layout.rows[k][2], duals)
             if dual is None
         ]
-        assert list(layout.users) == [
-            tuple(i for i, (_, _, k, duals) in enumerate(records) if slot in (k, *duals))
-            for slot in range(len(layout.rows))
-        ]
+
+    @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
+    def test_entry_readers_are_the_comparisons_reading_each_entry(self, l, bound):
+        # a pair's comparison at lam reads entry lam of its row and entry
+        # mu of its dual row; each reader sorts by pair, then row order
+        layout = rigidity._layout(l, bound)
+        index = dominant_weights_up_to(l, bound)
+        expected = [{} for _ in layout.rows]
+        order = []
+        for mu, nu, k, duals in layout.pairs:
+            for lam, d in zip(layout.rows[k][2], duals):
+                if d is not None:
+                    c = (mu, nu, lam, k, d)
+                    order.append(c)
+                    expected[k].setdefault(lam, set()).add(c)
+                    if mu in layout.rows[d][2]:
+                        expected[d].setdefault(mu, set()).add(c)
+        assert layout.positions == {lam: p for p, lam in enumerate(index)}
+        found = set()
+        for k, entries in enumerate(expected):
+            for t in layout.rows[k][2]:
+                readers = rigidity._entry_readers(layout, k, t)
+                assert {c[3:] for c in readers} == entries.get(t, set())
+                found.update(readers)
+        assert [c[3:] for c in sorted(found)] == order
 
 
 class TestVerify:
