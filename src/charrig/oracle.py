@@ -25,15 +25,16 @@ decompose writes any invariant element in the character basis by
 unitriangular elimination, the same ring.expand that
 rigidity.extract_structure_constants runs on a family.
 
-Characters are memoized per (rank, weight); an optional directory adds a
-persistent JSON spill of the same tables, each file written atomically
-(to a temporary name, then renamed).  A cache file must list the
-saturated dominants of its weight in processing order, with positive
-JSON integer multiplicities, 1 first; any other file is discarded and
-recomputed.  A lower multiplicity changed to another positive integer
-is not detected.  Every read opens, parses and checks the file, and
-builds its name and the mu rows it must list from the saturated set the
-caller already holds; nothing about a file is kept.
+Characters are memoized per (rank, weight), and the true family's
+members per (rank, bound); clear_memo() empties both.  An optional
+directory adds a persistent JSON spill of the characters, each file
+written atomically (to a temporary name, then renamed).  A cache file
+must list the saturated dominants of its weight in processing order,
+with positive JSON integer multiplicities, 1 first; any other file is
+discarded and recomputed.  A lower multiplicity changed to another
+positive integer is not detected.  Every read opens, parses and checks
+the file, and builds its name and the mu rows it must list from the
+saturated set the caller already holds; nothing about a file is kept.
 """
 
 import contextlib
@@ -57,10 +58,15 @@ from .lattice import (
 from .ring import CharElement, expand
 
 _MEMO: dict[tuple[int, Eps], CharElement] = {}
+# rigidity.true_family's members, {lam: character} over the lattice index
+# of each (rank, bound), filled through freudenthal_character, so every
+# value is also in _MEMO
+_TRUTH: dict[tuple[int, int], dict[Eps, CharElement]] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
+    _TRUTH.clear()
 
 
 def _cache_path(cache_dir: str, l: int, lam: Eps) -> str:

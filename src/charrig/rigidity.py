@@ -12,14 +12,15 @@ Which pairs and triples the duality check reads, and the true
 characters' structure constants there, depend only on the rank and the
 height bound, so _layout computes them once per (rank, bound), the one
 truth table: one row per unordered pair, the true family's
-Brauer-Klimyk row from tensor_decompose, one record per ordered pair
-with its row's slot and its triples' dual slots, the skipped triples,
-each weight's place in the index, which rows read each member and,
-filled as checks first reach them, which comparisons read each entry of
-a row.  lr_table is those rows.  The support check reads only each
-weight's small-support sites, which _small_support keeps per weight, so
-it builds no table.  Both checks compare a family
-with true_family, the family of true characters, and read again only
+Brauer-Klimyk row from tensor_decompose, each ordered pair's slot, the
+skipped triples, each weight's place in the index, which rows read each
+member and, filled as checks first reach them, which comparisons read
+each entry of a row, each comparison named by one integer that sorts in
+pair order and kept with its record.  lr_table is those rows.  The
+support check reads only each weight's small-support sites, which
+_small_support keeps per weight, so it builds no table.  Both checks
+compare a family with true_family, the family of true characters, whose
+members the oracle memo keeps per (rank, bound), and read again only
 what a member that differs from it changes.  Structure constants do not
 depend on the basis they are written in, so the duality check writes a
 member that differs as the true character plus a sum of characters
@@ -51,7 +52,7 @@ from .lattice import (
     support_size,
     zero_weight,
 )
-from .oracle import decompose, freudenthal_character, tensor_decompose
+from .oracle import _TRUTH, decompose, freudenthal_character, tensor_decompose
 from .ring import CharElement, expand, orbit_sum, unit
 
 
@@ -107,12 +108,25 @@ def validate_family(fam: CharacterFamily) -> None:
             raise ValueError(f"member {lam} has support outside its saturated set")
 
 
+def _true_members(l: int, bound: int, cache_dir: str | None) -> dict[Eps, CharElement]:
+    """The members of true_family(l, bound), as the one dict that
+    oracle._TRUTH keeps until oracle.clear_memo(); no caller may change
+    it."""
+    members = _TRUTH.get((l, bound))
+    if members is None:
+        index = dominant_weights_up_to(l, bound)
+        members = _TRUTH[l, bound] = {
+            lam: freudenthal_character(l, lam, cache_dir) for lam in index
+        }
+    return members
+
+
 def true_family(l: int, bound: int, cache_dir: str | None = None) -> CharacterFamily:
     """The family of genuine characters on the given bound, indexed by
-    the lattice index; it builds no layout."""
-    index = dominant_weights_up_to(l, bound)
-    members = {lam: freudenthal_character(l, lam, cache_dir) for lam in index}
-    return CharacterFamily(l, bound, members)
+    the lattice index; it builds no layout.  The characters are fetched
+    once per oracle memo, each through cache_dir, and every call returns
+    its own dict of them."""
+    return CharacterFamily(l, bound, dict(_true_members(l, bound, cache_dir)))
 
 
 def default_split(lam: Eps) -> tuple[Eps, Eps]:
@@ -264,7 +278,9 @@ def multiplicity_from_product(
 
 
 class _Layout(
-    collections.namedtuple("_Layout", "pairs rows slots skipped positions readers entry_readers")
+    collections.namedtuple(
+        "_Layout", "rows slots skipped positions readers entry_readers comparisons"
+    )
 ):
     """The one truth table of a rank and bound: what the duality check
     reads of the true family, none of it a candidate's members.
@@ -272,12 +288,11 @@ class _Layout(
     A slot is an index into rows, which holds one (a, b, row) per
     unordered pair, in the order the ordered pairs first meet it: row is
     the truth's tensor_decompose row over Pi+(a + b) in order, zeros
-    included.  slots maps both orders of each pair to its slot.  pairs
-    holds one record (mu, nu, k, duals) per ordered pair with mu + nu in
-    bound: k is the slot of (mu, nu) and, for each weight lam of
-    rows[k]'s row in order, duals holds the slot of the dual pair
-    (lam, nu*), or None when lam + nu* leaves the bound; skipped lists
-    those triples (mu, nu, lam), in the order the pairs give them.
+    included.  slots maps both orders of each pair to its slot, one
+    ordered pair (mu, nu) with mu + nu in bound per key, in pair order.
+    skipped lists the triples (mu, nu, lam), lam a weight of the row of
+    (mu, nu), whose dual pair (lam, nu*) has no slot because lam + nu*
+    leaves the bound, in the order the pairs and their rows give them.
 
     positions[lam] is lam's place in the index, which ascends in
     processing order, so pairs run in the order of their factors' places
@@ -288,12 +303,14 @@ class _Layout(
 
     entry_readers, filled on a check's first use of an entry, maps slot k
     to {t: [c, ...]}: the comparisons that read entry t of rows[k], as
-    their own row or as their dual row.  Each is the comparison of pair
-    (mu, nu), slot k', at lam with its dual slot d at mu, written
-    c = (positions[mu], positions[nu], -positions[lam], mu, nu, lam, k', d),
-    so that the c sort in the order of pairs and their rows' weights.
-    At most four comparisons read an entry: with (x, y) either order of
-    k's pair, those of (x, y) at t and of (t, y*) at x.
+    their own row or as their dual row.  The comparison of pair
+    (mu, nu), slot k', at lam with its dual slot d at mu is named by the
+    integer c = (p(mu) P + p(nu)) P + P - 1 - p(lam), p = positions and P
+    the index size, so that the c sort as (p(mu), p(nu), -p(lam)): in the
+    order of pairs and their rows' weights.  comparisons[c] holds its
+    record (mu, nu, lam, k', d), once.  At most four comparisons read an
+    entry: with (x, y) either order of k's pair, those of (x, y) at t and
+    of (t, y*) at x.
 
     The table is kept for the life of the process, and
     oracle.clear_memo() leaves it in place, as it leaves _inverse_kostka's
@@ -329,22 +346,18 @@ def _layout(l: int, bound: int) -> _Layout:
             for lam in {a, b, *row}:
                 readers[lam].append(k)
             rows.append((a, b, {t: row.get(t, 0) for t in saturated_dominants(lam0)}))
-    pairs = []
     skipped = []
     # slot holds every ordered pair once, in pair order
     for (mu, nu), k in slot.items():
-        weights = rows[k][2]
-        duals = tuple(map(slot.get, zip(weights, itertools.repeat(dual_weight(nu)))))
-        if None in duals:
-            skipped += [(mu, nu, lam) for lam, d in zip(weights, duals) if d is None]
-        pairs.append((mu, nu, k, duals))
+        nus = dual_weight(nu)
+        skipped += [(mu, nu, lam) for lam in rows[k][2] if (lam, nus) not in slot]
     return _Layout(
-        tuple(pairs),
         tuple(rows),
         slot,
         tuple(skipped),
         {lam: p for p, lam in enumerate(index)},
         {lam: tuple(ks) for lam, ks in readers.items()},
+        {},
         {},
     )
 
@@ -430,9 +443,11 @@ def _row_delta(layout: _Layout, k: int, changed: dict) -> dict[Eps, int]:
     return {t: d for t, d in delta.items() if d}
 
 
-def _entry_readers(layout: _Layout, k: int, t: Eps) -> list[tuple]:
-    """The comparisons that read entry t of rows[k]: see _Layout."""
-    rows, slots, pos = layout.rows, layout.slots, layout.positions
+def _entry_readers(layout: _Layout, k: int, t: Eps) -> list[int]:
+    """The ids of the comparisons that read entry t of rows[k], each
+    record kept in layout.comparisons: see _Layout."""
+    rows, slots, pos, records = layout.rows, layout.slots, layout.positions, layout.comparisons
+    size = len(pos)
     a, b, row = rows[k]
     out = []
     for x, y in ((a, b), (b, a)) if a != b else ((a, b),):
@@ -442,9 +457,13 @@ def _entry_readers(layout: _Layout, k: int, t: Eps) -> list[tuple]:
             # pair (x, y) compares its entry at t with entry x of its dual
             # slot s = (t, y*), and pair (t, y*), whose slot is s, its entry
             # at x with entry t of its dual slot (x, y) = k
-            out.append((pos[x], pos[y], -pos[t], x, y, t, k, s))
+            c = (pos[x] * size + pos[y]) * size + size - 1 - pos[t]
+            records.setdefault(c, (x, y, t, k, s))
+            out.append(c)
             if x in rows[s][2]:
-                out.append((pos[t], pos[ys], -pos[x], t, ys, x, s, k))
+                c = (pos[t] * size + pos[ys]) * size + size - 1 - pos[x]
+                records.setdefault(c, (t, ys, x, s, k))
+                out.append(c)
     return out
 
 
@@ -504,10 +523,11 @@ def check_duality_condition(
             if found is None:
                 found = readers[t] = _entry_readers(layout, k, t)
             compared.update(found)
-    rows, unmoved = layout.rows, {}
+    rows, records, unmoved = layout.rows, layout.comparisons, {}
     violations = []
-    # the comparisons sort in pair order, then in their row's order
-    for _, _, _, mu, nu, lam, k, d in sorted(compared):
+    # the comparison ids sort in pair order, then in their row's order
+    for c in sorted(compared):
+        mu, nu, lam, k, d = records[c]
         dl, dr = deltas.get(k, unmoved).get(lam, 0), deltas.get(d, unmoved).get(mu, 0)
         if dl != dr:
             violations.append((mu, nu, lam, rows[k][2][lam] + dl, rows[d][2].get(mu, 0) + dr))
@@ -540,8 +560,9 @@ def verify_family(
     fam: CharacterFamily, cache_dir: str | None = None
 ) -> ConditionReport:
     """Run both condition checks and compare the family memberwise
-    against the true characters, each fetched once."""
-    truth = true_family(fam.rank, fam.bound, cache_dir)
+    against the true characters, read from the one dict of true_family's
+    members that the oracle memo keeps."""
+    truth = CharacterFamily(fam.rank, fam.bound, _true_members(fam.rank, fam.bound, cache_dir))
     support_violations = check_support_condition(fam, truth)
     duality_violations, skipped = check_duality_condition(fam, truth)
     equal = fam.members == truth.members

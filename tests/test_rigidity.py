@@ -539,7 +539,7 @@ class TestReference:
         # c^lam_{mu nu} = c^mu_{lam nu*}: the check compares only the pairs
         # that read a rebuilt row, since the truth's rows have no violation
         rows = [row for _, _, row in rigidity._layout(l, bound).rows]
-        for mu, nu, k, duals in rigidity._layout(l, bound).pairs:
+        for mu, nu, k, duals in pair_records(l, bound):
             for lhs, dual in zip(rows[k].values(), duals, strict=True):
                 if dual is not None:
                     assert lhs == rows[dual].get(mu, 0)
@@ -618,6 +618,25 @@ def rows_holding(l, bound, lam):
     """How many rows of the layout hold member lam, as a factor or in
     their saturated set, read at a nonzero coefficient or not."""
     return sum(lam in (a, b) or lam in row for a, b, row in rigidity._layout(l, bound).rows)
+
+
+def record(layout, mu, nu):
+    """The record (mu, nu, k, duals) of an ordered pair in bound, built
+    again from add and dual_weight, not from the order of the slots: k is
+    its slot and duals[j] the slot of the dual pair (lam, nu*) for the
+    j-th weight lam of its row, or None when lam + nu* leaves the bound."""
+    weights = saturated_dominants(add(mu, nu))
+    a, b, row = layout.rows[layout.slots[mu, nu]]
+    assert (a, b) in ((mu, nu), (nu, mu)) and list(row) == list(weights)
+    duals = tuple(layout.slots.get((lam, dual_weight(nu))) for lam in weights)
+    return mu, nu, layout.slots[mu, nu], duals
+
+
+def pair_records(l, bound):
+    """The record of every ordered pair in bound, in pair order."""
+    layout = rigidity._layout(l, bound)
+    index = dominant_weights_up_to(l, bound)
+    return [record(layout, mu, nu) for mu in index for nu in index if height(add(mu, nu)) <= bound]
 
 
 @pytest.fixture
@@ -841,20 +860,11 @@ class TestLayout:
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
     def test_one_record_per_ordered_pair(self, l, bound):
-        # built again from add and dual_weight, in pair order, not from
-        # the order of the slots
+        # the slots hold each ordered pair once, in pair order, and the
+        # skipped triples follow them
         layout = rigidity._layout(l, bound)
-        index = dominant_weights_up_to(l, bound)
-
-        def record(mu, nu):
-            weights = saturated_dominants(add(mu, nu))
-            a, b, row = layout.rows[layout.slots[mu, nu]]
-            assert (a, b) in ((mu, nu), (nu, mu)) and list(row) == list(weights)
-            duals = tuple(layout.slots.get((lam, dual_weight(nu))) for lam in weights)
-            return mu, nu, layout.slots[mu, nu], duals
-
-        records = [record(mu, nu) for mu in index for nu in index if height(add(mu, nu)) <= bound]
-        assert list(layout.pairs) == records
+        records = pair_records(l, bound)
+        assert list(layout.slots) == [(mu, nu) for mu, nu, _, _ in records]
         assert list(layout.skipped) == [
             (mu, nu, lam)
             for mu, nu, k, duals in records
@@ -865,12 +875,14 @@ class TestLayout:
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
     def test_entry_readers_are_the_comparisons_reading_each_entry(self, l, bound):
         # a pair's comparison at lam reads entry lam of its row and entry
-        # mu of its dual row; each reader sorts by pair, then row order
+        # mu of its dual row; each reader's id decodes to its factors' and
+        # lam's places and sorts by pair, then row order
         layout = rigidity._layout(l, bound)
         index = dominant_weights_up_to(l, bound)
+        size = len(index)
         expected = [{} for _ in layout.rows]
         order = []
-        for mu, nu, k, duals in layout.pairs:
+        for mu, nu, k, duals in pair_records(l, bound):
             for lam, d in zip(layout.rows[k][2], duals):
                 if d is not None:
                     c = (mu, nu, lam, k, d)
@@ -883,9 +895,35 @@ class TestLayout:
         for k, entries in enumerate(expected):
             for t in layout.rows[k][2]:
                 readers = rigidity._entry_readers(layout, k, t)
-                assert {c[3:] for c in readers} == entries.get(t, set())
+                assert {layout.comparisons[c] for c in readers} == entries.get(t, set())
                 found.update(readers)
-        assert [c[3:] for c in sorted(found)] == order
+        for c in found:
+            pair, lam = divmod(c, size)
+            mu, nu = divmod(pair, size)
+            assert layout.comparisons[c][:3] == (index[mu], index[nu], index[size - 1 - lam])
+        assert layout.comparisons.keys() == found
+        assert [layout.comparisons[c] for c in sorted(found)] == order
+
+    @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30)])
+    def test_comparison_ids_sort_as_their_place_keys(self, l, bound):
+        # over every entry, the ids sort exactly as the keys
+        # (p(mu), p(nu), -p(lam)), p the place in the index, and name
+        # one comparison each
+        layout = rigidity._layout(l, bound)
+        pos = layout.positions
+        ids = {
+            c
+            for k, (_, _, row) in enumerate(layout.rows)
+            for t in row
+            for c in rigidity._entry_readers(layout, k, t)
+        }
+
+        def key(c):
+            mu, nu, lam = layout.comparisons[c][:3]
+            return pos[mu], pos[nu], -pos[lam]
+
+        assert ids and sorted(ids) == sorted(ids, key=key)
+        assert len(set(map(key, ids))) == len(ids)
 
 
 class TestVerify:
@@ -906,7 +944,10 @@ class TestVerify:
         assert not report.members_equal
 
     def test_fetches_each_true_character_once(self, monkeypatch):
+        # on a cleared memo the first check fetches each true character
+        # once; a second reads the memo's members and fetches none
         fam = fresh_copy(true_family(2, 12))
+        oracle.clear_memo()
         calls = []
 
         def fetch(*args):
@@ -915,7 +956,34 @@ class TestVerify:
 
         monkeypatch.setattr(rigidity, "freudenthal_character", fetch)
         assert verify_family(fam).members_equal
+        assert calls == [(2, lam, None) for lam in fam.members]
+        assert verify_family(fam).members_equal
         assert len(calls) == len(fam.members)
+
+    def test_cleared_memo_writes_every_members_file(self, tmp_path):
+        # the members are fetched through cache_dir once per memo: after
+        # clear_memo a fresh directory gets every file, and a warm memo
+        # writes none
+        true_family(2, 12)
+        oracle.clear_memo()
+        fam = true_family(2, 12, str(tmp_path / "cold"))
+        names = {os.path.basename(oracle._cache_path("", 2, lam)) for lam in fam.members}
+        assert set(os.listdir(tmp_path / "cold")) == names
+        true_family(2, 12, str(tmp_path / "warm"))
+        assert not (tmp_path / "warm").exists()
+
+    def test_members_are_each_callers_own(self):
+        # changing one result's members changes neither a later result nor
+        # the truth verify_family compares against
+        first = true_family(2, 12)
+        expected = {lam: freudenthal_character(2, lam) for lam in first.members}
+        bad = perturb_family(first, w(1, 1), w(0, 0), 1)
+        first.members[w(1, 1)] = bad.members[w(1, 1)]
+        del first.members[w(0, 0)]
+        assert true_family(2, 12).members == expected
+        report = verify_family(bad)
+        assert not report.members_equal and not report.duality_pass
+        assert verify_family(true_family(2, 12)).passed
 
 
 class TestPerturb:
