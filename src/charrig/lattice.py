@@ -199,6 +199,13 @@ def saturated_dominants(la: Eps) -> tuple[Eps, ...]:
 
 
 @functools.cache
+def weight_count(la: Eps) -> int:
+    """The number of distinct weights of the module with highest weight
+    la, sum |Wd| over its saturated dominants d; la dominant, canonical."""
+    return sum(map(orbit_size, saturated_dominants(la)))
+
+
+@functools.cache
 def dual_weight(d: Eps) -> Eps:
     """Highest weight of the dual module: -w0 acting on a dominant weight,
     i.e. fundamental coordinates reversed.  An involution."""

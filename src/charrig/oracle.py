@@ -12,15 +12,21 @@ dominant and processed before mu, so the tail at mu is its multiplicity
 times (mu_a - mu_b + 2) plus its own tail, or 0 when it is not a weight
 (root strings are unbroken).  No weight is sorted.  Tensor product
 multiplicities come from the Brauer-Klimyk formula: each weight of the
-factor with fewer weights is added to the other's highest weight plus
-rho and sorted into the dominant chamber, counted with the sign of the
-sort, so no product is formed and no constituent's character is read.
-The pair differences of that sum are packed, one biased field of w bits
-per root, into one integer, where w is the smallest multiple of 16 that
-holds the widest difference; one subtraction per weight then tells a sum
-already strictly decreasing (every field's top bit set, no sort) from one
-on a wall (some field at the bias) and from one to sort, whose sign is
-the parity of the fields with a clear top bit.
+factor with fewer weights (lattice.weight_count) is added to the other's
+highest weight plus rho and sorted into the dominant chamber, counted
+with the sign of the sort, so no product is formed and no constituent's
+character is read.  The pair differences of that sum are packed, one
+biased field of w bits per root, into one integer F, where w is the
+smallest multiple of 16 that holds the widest difference, so every input
+fits with no fallback.  The adjacent pairs own the low fields, the rest
+follow by distance.  One mask of the fields with a clear top bit tells a
+sum already strictly decreasing (the mask is 0) from one on a wall (a
+field at the bias, found by adding 1 to every field) and from one to
+sort, whose sign is the parity of the mask's bits.  Each constituent is
+keyed by the integer in the low fields, its fundamental coordinates each
+plus the bias: F's own low fields when no sort is needed, else the
+sorted sum's adjacent differences packed the same way.  The masks are
+memoized per (rank, width), and each key is decoded to its weight once.
 decompose writes any invariant element in the character basis by
 unitriangular elimination, the same ring.expand that
 rigidity.extract_structure_constants runs on a family.
@@ -50,10 +56,10 @@ from .lattice import (
     fundamental_coords,
     is_dominant,
     orbit,
-    orbit_size,
     processing_key,
     rho,
     saturated_dominants,
+    weight_count,
 )
 from .ring import CharElement, expand
 
@@ -246,14 +252,46 @@ def decompose(f: CharElement) -> dict[Eps, int]:
 @functools.cache
 def _pair_fields(n: int, w: int) -> tuple[int, ...]:
     """Coefficients c_i such that sum x_i c_i is sum_k (x_j - x_i) 2^(w k),
-    the k-th pair i < j taken in combinations order.  A difference may be
+    the k-th pair i < j taken with the n - 1 adjacent pairs (i, i + 1)
+    first, then the rest by increasing j - i.  A difference may be
     negative, so the sum alone is no packing into fields; the biased
     C - D_x that tensor_decompose reads is."""
     coeffs = [0] * n
-    for k, (i, j) in enumerate(combinations(range(n), 2)):
+    pairs = sorted(combinations(range(n), 2), key=lambda p: p[1] - p[0])
+    for k, (i, j) in enumerate(pairs):
         coeffs[i] -= 1 << (w * k)
         coeffs[j] += 1 << (w * k)
     return tuple(coeffs)
+
+
+@functools.cache
+def _field_masks(n: int, w: int) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+    """The per-(n, w) constants of tensor_decompose: ones (1 in each
+    field), high (B = 2^(w-1) in each), wall (B - 1 in each), low (all
+    bits of the n - 1 adjacent fields), low_wall (B - 1 in each of those)
+    and the adjacent coefficients a_i, with sum y_i a_i equal to
+    sum_k (y_k - y_(k+1)) 2^(w k) over k < n - 1."""
+    l = n - 1
+    ones = sum(1 << (w * k) for k in range(n * l // 2))
+    high = ones << (w - 1)
+    low = (1 << (w * l)) - 1
+    adjacent = [0] * n
+    for k in range(l):
+        adjacent[k] += 1 << (w * k)
+        adjacent[k + 1] -= 1 << (w * k)
+    return ones, high, high - ones, low, (high - ones) & low, tuple(adjacent)
+
+
+@functools.cache
+def _constituent(n: int, w: int, key: int) -> Eps:
+    """The canonical weight whose fundamental coordinates, each plus
+    B = 2^(w-1), are the n - 1 low w-bit fields of key."""
+    mask = (1 << w) - 1
+    bias = 1 << (w - 1)
+    eps = [0] * n
+    for k in range(n - 2, -1, -1):
+        eps[k] = eps[k + 1] + (key >> (w * k) & mask) - bias
+    return tuple(eps)
 
 
 def _field_width(spread: int) -> int:
@@ -282,46 +320,44 @@ def tensor_decompose(
     x of ch_a, with multiplicity, of sign(sigma) ch_{sigma(y) - rho}, where
     y = x + b + rho, sigma sorts y into decreasing order, and x is dropped
     when two coordinates of y are equal.  The weights are walked for the
-    factor with fewer of them, orbit by orbit; no product is formed and
-    no constituent's character is read.
+    factor with fewer of them (lattice.weight_count), orbit by orbit; no
+    product is formed and no constituent's character is read.
 
     Each pair i < j owns a w-bit field of one integer F = C - D_x, which
-    holds y_i - y_j + B - 1, B = 2^(w-1): C packs s_i - s_j + B - 1 for
-    s = b + rho, once per call, and D_x packs x_j - x_i, memoized per
-    orbit.  The weights of ch_a have coordinates in [0, a_0], so
-    (s_0 - s_{n-1}) + a_0 bounds every |y_i - y_j|; with w from
-    _field_width over it, every field lies in [0, 2^w) and none borrows
-    from the next.  When every field has its top bit set, y is strictly
-    decreasing and x + b itself, shifted to canonical form, gets +m: no
-    sort, no sign.  When some field equals B - 1, y lies on a wall.
-    Otherwise y is sorted, and the fields with a clear top bit are its
-    inversions: their parity is the sign."""
+    holds y_i - y_j + B - 1, B = 2^(w-1); the l adjacent pairs (i, i + 1)
+    own the low fields.  C packs s_i - s_j + B - 1 for s = b + rho, once
+    per call, and D_x packs x_j - x_i, memoized per orbit.  The weights
+    of ch_a have coordinates in [0, a_0], so (s_0 - s_{n-1}) + a_0 bounds
+    every |y_i - y_j|; with w from _field_width over it, every field lies
+    in [0, 2B - 2), and none borrows from the next.  One mask, clear, has
+    B in each field whose top bit is clear, y_i <= y_j.  When clear is 0,
+    y is strictly decreasing and the low fields of F are the fundamental
+    coordinates of sigma(y) - rho, each plus B: that is the row's key,
+    with no sort.  When F + ones (which carries out of no field) has a
+    top bit set within clear, some field equals B - 1 and y lies on a
+    wall.  Otherwise y is sorted, its adjacent differences are packed
+    into a key the same way, and the parity of clear's bits is the sign.
+    Each key is decoded to its weight once (memoized per (n, w, key)),
+    in first-occurrence order."""
     chars = [freudenthal_character(l, lam, cache_dir) for lam in (mu, nu)]
-    sizes = [sum(map(orbit_size, ch.terms)) for ch in chars]
-    walked, other = chars if sizes[0] <= sizes[1] else chars[::-1]
-    lam, top = next(iter(walked.terms)), next(iter(other.terms))  # canonical
+    tops = [next(iter(ch.terms)) for ch in chars]  # canonical
+    k = weight_count(tops[0]) > weight_count(tops[1])  # the walked factor
+    walked, lam, top = chars[k], tops[k], tops[1 - k]
     n = l + 1
-    rho_v = rho(l)
-    shift = [a + r for a, r in zip(top, rho_v)]  # s, strictly decreasing
+    shift = [a + r for a, r in zip(top, rho(l))]  # s, strictly decreasing
     w = _field_width(shift[0] + lam[0])  # shift[-1] is 0
-    ones = ((1 << (w * n * l // 2)) - 1) // ((1 << w) - 1)  # 1 in each field
-    high = ones << (w - 1)  # B in each field
-    wall = high - ones  # B - 1 in each field
+    ones, high, wall, low, low_wall, adjacent = _field_masks(n, w)
     base = wall - sum(map(operator.mul, shift, _pair_fields(n, w)))
-    out: dict[Eps, int] = {}
+    out: dict[int, int] = {}
     for d, m in walked.terms.items():
         for x, packed in zip(*_orbit_fields(d, w)):
             f = base - packed
-            if f & high == high:  # y strictly decreasing: no sort, no sign
-                low = x[-1]
-                key = tuple([a + b - low for a, b in zip(x, top)])
+            clear = high ^ (f & high)  # B in each field where y_i <= y_j
+            if not clear:  # y strictly decreasing: no sort, no sign
+                key = f & low
                 out[key] = out.get(key, 0) + m
-                continue
-            g = f ^ wall  # a zero field where y_i = y_j
-            if (g - ones) & ~g & high:
-                continue  # y lies on a wall: it contributes nothing
-            y = sorted(map(operator.add, x, shift), reverse=True)
-            low = y[-1]  # y - rho decreases weakly, so its minimum is last
-            key = tuple([a - r - low for a, r in zip(y, rho_v)])
-            out[key] = out.get(key, 0) + (-m if (~f & high).bit_count() & 1 else m)
-    return {key: c for key, c in out.items() if c}
+            elif not (f + ones) & clear:  # no field at B - 1: off the walls
+                y = sorted(map(operator.add, x, shift), reverse=True)
+                key = low_wall + sum(map(operator.mul, y, adjacent))
+                out[key] = out.get(key, 0) + (-m if clear.bit_count() & 1 else m)
+    return {_constituent(n, w, key): c for key, c in out.items() if c}

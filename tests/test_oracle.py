@@ -17,9 +17,12 @@ from charrig.lattice import (
     processing_key,
     rho,
     saturated_dominants,
+    weight_count,
     zero_weight,
 )
 from charrig.oracle import (
+    _constituent,
+    _field_masks,
     _field_width,
     _pair_fields,
     decompose,
@@ -399,7 +402,8 @@ class TestBrauerKlimyk:
             16, 16, 32, 32, 48
         ]
 
-    # (l, walked highest weight, top) in fundamental coordinates
+    # (l, walked highest weight, top) in fundamental coordinates; the A2
+    # and A3 tops above 2^15 and 2^31 take the fields to 32 and 48 bits
     FIELD_CASES = [
         (1, (7,), (32765,)),
         (1, (4,), (65533,)),
@@ -408,21 +412,31 @@ class TestBrauerKlimyk:
         (3, (2, 0, 2), (0, 5, 1)),
         (5, (1, 0, 1, 0, 1), (0, 0, 0, 0, 0)),
         (7, (1, 0, 0, 0, 0, 0, 1), (0, 3, 0, 0, 0, 1, 0)),
+        (2, (2, 2), (40000, 3)),
+        (2, (1, 3), (0, 2**31 + 5)),
+        (3, (2, 1, 1), (1, 33000, 0)),
+        (3, (0, 3, 0), (2**31, 0, 7)),
     ]
 
     @pytest.mark.parametrize("l,lam,top", FIELD_CASES)
     def test_fields_stay_in_range(self, l, lam, top):
         """F = C - D_x, packed from _pair_fields at the width the rule
         gives, holds B - 1 + y_i - y_j in field k of the k-th pair i < j,
-        each in [0, 2^w), for every weight x of lam and y = x + top + rho."""
+        the adjacent pairs first and then by j - i, each in [0, 2^w), for
+        every weight x of lam and y = x + top + rho.  Off the walls, the
+        low l fields of sorted y (those of F itself when y is already
+        strictly decreasing) decode to the canonical key of sorted y."""
         n = l + 1
         lam, top = w(l, *lam), w(l, *top)
         shift = [a + r for a, r in zip(top, rho(l))]
         width = _field_width(shift[0] + lam[0])
         coeffs = _pair_fields(n, width)
         half = 1 << (width - 1)
-        pairs = list(itertools.combinations(range(n), 2))
+        pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: p[1] - p[0])
+        assert pairs[:l] == [(i, i + 1) for i in range(l)]
         ones = sum(1 << (width * k) for k in range(len(pairs)))
+        low = (1 << (width * l)) - 1
+        *_, low_wall, adjacent = _field_masks(n, width)
         for d in saturated_dominants(lam):
             for x in orbit(d):
                 y = [a + b for a, b in zip(x, shift)]
@@ -430,6 +444,29 @@ class TestBrauerKlimyk:
                 assert all(0 <= f < 2 * half for f in fields)
                 packed = (half - 1) * ones - sum(map(operator.mul, y, coeffs))
                 assert packed == sum(f << (width * k) for k, f in enumerate(fields))
+                if len(set(y)) < n:
+                    continue  # a wall: no key
+                ys = sorted(y, reverse=True)
+                key = sum((half - 1 + ys[k] - ys[k + 1]) << (width * k) for k in range(l))
+                assert low_wall + sum(map(operator.mul, ys, adjacent)) == key
+                if ys == y:
+                    assert packed & low == key
+                canonical_key = tuple([a - r - ys[-1] for a, r in zip(ys, rho(l))])
+                assert _constituent(n, width, key) == canonical_key
+
+    @pytest.mark.parametrize("l", range(1, 8))
+    def test_keys_decode_to_their_weights(self, l):
+        """Each dominant weight in bound, its fundamental coordinates
+        packed one per w-bit field with the bias B = 2^(w-1) added, decodes
+        to its canonical tuple; the zero weight has every field at B."""
+        weights = dominant_weights_up_to(l, TENSOR_BOUND[l])
+        assert weights[0] == zero_weight(l)
+        for width in (16, 32, 48):
+            half = 1 << (width - 1)
+            for lam in weights:
+                coords = [a - b for a, b in zip(lam, lam[1:])]
+                key = sum((half + c) << (width * k) for k, c in enumerate(coords))
+                assert _constituent(l + 1, width, key) == lam
 
     # rows recorded from the product-and-decompose route at commit 29f1ddc,
     # keyed by fundamental coordinates
@@ -475,6 +512,35 @@ class TestBrauerKlimyk:
             tensor_decompose(2, bad, good)
         with pytest.raises(ValueError, match=match):
             tensor_decompose(2, good, bad)
+
+
+class TestWeightCount:
+    @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 24), (4, 20), (5, 18)])
+    def test_counts_the_weights_of_the_character(self, l, bound):
+        for lam in dominant_weights_up_to(l, bound):
+            count = sum(map(orbit_size, saturated_dominants(lam)))
+            assert weight_count(lam) == count
+            assert sum(map(orbit_size, freudenthal_character(l, lam).terms)) == count
+
+    def test_counts_a_character_read_from_the_cache(self, tmp_path, monkeypatch):
+        from charrig import oracle
+
+        lam = w(3, 2, 1, 2)
+        d = str(tmp_path)
+        oracle.clear_memo()
+        freudenthal_character(3, lam, cache_dir=d)
+        oracle.clear_memo()
+        loaded = []
+        load = oracle._load_cached
+
+        def spy(*args):
+            loaded.append(load(*args))
+            return loaded[-1]
+
+        monkeypatch.setattr(oracle, "_load_cached", spy)
+        ch = freudenthal_character(3, lam, cache_dir=d)
+        assert loaded == [ch]  # read from the file, not recomputed
+        assert sum(map(orbit_size, ch.terms)) == weight_count(lam) == 116
 
 
 class TestLRIdentities:
