@@ -217,6 +217,7 @@ def rho(l: int) -> Eps:
     return tuple(range(l, -1, -1))
 
 
+@functools.cache
 def height(eps: Eps) -> int:
     """Pairing of the canonical representative with twice the Weyl vector.
 
@@ -225,17 +226,8 @@ def height(eps: Eps) -> int:
     recursion order on dominant weights.  Shifting eps by m times the
     all-ones vector moves the pairing by m * l(l+1), so the closed form
     2 sum (l-i) eps_i - l(l+1) min(eps) needs no canonical copy.
-    Memoized per tuple; any other sequence, such as a list, is read as
-    its tuple.
+    Memoized per weight.
     """
-    try:
-        return _height(eps)
-    except TypeError:  # unhashable
-        return _height(tuple(eps))
-
-
-@functools.cache
-def _height(eps: Eps) -> int:
     l = len(eps) - 1
     return 2 * sum(map(operator.mul, eps, range(l, -1, -1))) - l * (l + 1) * min(eps)
 

@@ -25,22 +25,28 @@ field at the bias, found by adding 1 to every field) and from one to
 sort, whose sign is the parity of the mask's bits.  Each constituent is
 keyed by the integer in the low fields, its fundamental coordinates each
 plus the bias: F's own low fields when no sort is needed, else the
-sorted sum's adjacent differences packed the same way.  The masks are
-memoized per (rank, width), and each key is decoded to its weight once.
-decompose writes any invariant element in the character basis by
-unitriangular elimination, the same ring.expand that
-rigidity.extract_structure_constants runs on a family.
+sorted sum's adjacent differences packed the same way.  The masks and
+pair coefficients are memoized per (rank, width), and each key is
+decoded to its weight once.  decompose writes any invariant element in
+the character basis by unitriangular elimination, the same ring.expand
+that rigidity.extract_structure_constants runs on a family.
 
-Characters are memoized per (rank, weight), and the true family's
-members per (rank, bound); clear_memo() empties both.  An optional
-directory adds a persistent JSON spill of the characters, each file
-written atomically (to a temporary name, then renamed).  A cache file
-must list the saturated dominants of its weight in processing order,
-with positive JSON integer multiplicities, 1 first; any other file is
-discarded and recomputed.  A lower multiplicity changed to another
-positive integer is not detected.  Every read opens, parses and checks
-the file, and builds its name and the mu rows it must list from the
-saturated set the caller already holds; nothing about a file is kept.
+Characters are memoized per (rank, weight), the true family's members
+per (rank, bound) and K^-1 per weight; clear_memo() empties all three.
+rigidity._layout, the duality table built from them, is the one memo of
+the truth that outlives it: dropped too, it was rebuilt by every verify
+pass of the cli benchmark, 11-13% of its wall_s.  Its rows are
+Littlewood-Richardson coefficients, fixed by (rank, bound), so keeping
+them is exact unless a cache file's lower multiplicities were edited
+before they were built.  An optional directory adds a persistent JSON
+spill of the characters, each file written atomically (to a temporary
+name, then renamed).  A cache file must list the saturated dominants of
+its weight in processing order, with positive JSON integer
+multiplicities, 1 first; any other file is discarded and recomputed.  A
+lower multiplicity changed to another positive integer is not detected.
+Every read opens, parses and checks the file, and builds its name and
+the mu rows it must list from the saturated set the caller already
+holds; nothing about a file is kept.
 """
 
 import contextlib
@@ -53,6 +59,7 @@ from itertools import combinations
 from .lattice import (
     Eps,
     canonical,
+    dominant_weights_up_to,
     fundamental_coords,
     is_dominant,
     orbit,
@@ -61,18 +68,17 @@ from .lattice import (
     saturated_dominants,
     weight_count,
 )
-from .ring import CharElement, expand
+from .ring import CharElement, expand, orbit_sum
 
 _MEMO: dict[tuple[int, Eps], CharElement] = {}
-# rigidity.true_family's members, {lam: character} over the lattice index
-# of each (rank, bound), filled through freudenthal_character, so every
-# value is also in _MEMO
+# true_characters' dicts by (rank, bound), each value also in _MEMO
 _TRUTH: dict[tuple[int, int], dict[Eps, CharElement]] = {}
 
 
 def clear_memo() -> None:
     _MEMO.clear()
     _TRUTH.clear()
+    inverse_kostka.cache_clear()
 
 
 def _cache_path(cache_dir: str, l: int, lam: Eps) -> str:
@@ -218,6 +224,19 @@ def freudenthal_character(l: int, lam: Eps, cache_dir: str | None = None) -> Cha
     return elem
 
 
+def true_characters(l: int, bound: int, cache_dir: str | None = None) -> dict[Eps, CharElement]:
+    """{lam: character} over the dominant weights of height <= bound, in
+    index order, each fetched through cache_dir once per memo.  Every
+    caller is handed the same dict, which none may change."""
+    members = _TRUTH.get((l, bound))
+    if members is None:
+        members = _TRUTH[l, bound] = {
+            lam: freudenthal_character(l, lam, cache_dir)
+            for lam in dominant_weights_up_to(l, bound)
+        }
+    return members
+
+
 def weyl_dim(l: int, lam: Eps) -> int:
     """Dimension of the highest-weight module, by the product formula
     over coordinate pairs; exact integer."""
@@ -250,27 +269,25 @@ def decompose(f: CharElement) -> dict[Eps, int]:
 
 
 @functools.cache
-def _pair_fields(n: int, w: int) -> tuple[int, ...]:
-    """Coefficients c_i such that sum x_i c_i is sum_k (x_j - x_i) 2^(w k),
-    the k-th pair i < j taken with the n - 1 adjacent pairs (i, i + 1)
-    first, then the rest by increasing j - i.  A difference may be
-    negative, so the sum alone is no packing into fields; the biased
-    C - D_x that tensor_decompose reads is."""
-    coeffs = [0] * n
-    pairs = sorted(combinations(range(n), 2), key=lambda p: p[1] - p[0])
-    for k, (i, j) in enumerate(pairs):
-        coeffs[i] -= 1 << (w * k)
-        coeffs[j] += 1 << (w * k)
-    return tuple(coeffs)
+def inverse_kostka(mu: Eps) -> dict[Eps, int]:
+    """K^-1(mu): h(mu) in the character basis, decompose(orbit_sum(mu)),
+    the nonzero coefficients only.  Every caller is handed the same dict,
+    which none may change."""
+    return decompose(orbit_sum(mu))
 
 
 @functools.cache
-def _field_masks(n: int, w: int) -> tuple[int, int, int, int, int, tuple[int, ...]]:
+def _field_masks(n: int, w: int) -> tuple:
     """The per-(n, w) constants of tensor_decompose: ones (1 in each
     field), high (B = 2^(w-1) in each), wall (B - 1 in each), low (all
-    bits of the n - 1 adjacent fields), low_wall (B - 1 in each of those)
-    and the adjacent coefficients a_i, with sum y_i a_i equal to
-    sum_k (y_k - y_(k+1)) 2^(w k) over k < n - 1."""
+    bits of the n - 1 adjacent fields), low_wall (B - 1 in each of those),
+    the adjacent coefficients a_i, with sum y_i a_i equal to
+    sum_k (y_k - y_(k+1)) 2^(w k) over k < n - 1, and the pair
+    coefficients c_i, with sum x_i c_i equal to sum_k (x_j - x_i) 2^(w k),
+    the k-th pair i < j taken with the n - 1 adjacent pairs (i, i + 1)
+    first, then the rest by increasing j - i.  A difference may be
+    negative, so that sum alone is no packing into fields; the biased
+    C - D_x that tensor_decompose reads is."""
     l = n - 1
     ones = sum(1 << (w * k) for k in range(n * l // 2))
     high = ones << (w - 1)
@@ -279,7 +296,12 @@ def _field_masks(n: int, w: int) -> tuple[int, int, int, int, int, tuple[int, ..
     for k in range(l):
         adjacent[k] += 1 << (w * k)
         adjacent[k + 1] -= 1 << (w * k)
-    return ones, high, high - ones, low, (high - ones) & low, tuple(adjacent)
+    coeffs = [0] * n
+    pairs = sorted(combinations(range(n), 2), key=lambda p: p[1] - p[0])
+    for k, (i, j) in enumerate(pairs):
+        coeffs[i] -= 1 << (w * k)
+        coeffs[j] += 1 << (w * k)
+    return ones, high, high - ones, low, (high - ones) & low, tuple(adjacent), tuple(coeffs)
 
 
 @functools.cache
@@ -304,9 +326,9 @@ def _field_width(spread: int) -> int:
 @functools.cache
 def _orbit_fields(d: Eps, w: int) -> tuple[tuple[Eps, ...], tuple[int, ...]]:
     """The orbit of d as a tuple, and beside each point x its packed pair
-    differences D_x = sum x_i c_i (see _pair_fields)."""
+    differences D_x = sum x_i c_i (see _field_masks)."""
     points = tuple(orbit(d))
-    coeffs = _pair_fields(len(d), w)
+    coeffs = _field_masks(len(d), w)[-1]
     return points, tuple([sum(map(operator.mul, x, coeffs)) for x in points])
 
 
@@ -346,8 +368,8 @@ def tensor_decompose(
     n = l + 1
     shift = [a + r for a, r in zip(top, rho(l))]  # s, strictly decreasing
     w = _field_width(shift[0] + lam[0])  # shift[-1] is 0
-    ones, high, wall, low, low_wall, adjacent = _field_masks(n, w)
-    base = wall - sum(map(operator.mul, shift, _pair_fields(n, w)))
+    ones, high, wall, low, low_wall, adjacent, pair_coeffs = _field_masks(n, w)
+    base = wall - sum(map(operator.mul, shift, pair_coeffs))
     out: dict[int, int] = {}
     for d, m in walked.terms.items():
         for x, packed in zip(*_orbit_fields(d, w)):

@@ -19,15 +19,14 @@ each entry of a row, each comparison named by one integer that sorts in
 pair order and kept with its record.  lr_table is those rows.  The
 support check reads only each weight's small-support sites, which
 _small_support keeps per weight, so it builds no table.  Both checks
-compare a family with true_family, the family of true characters, whose
-members the oracle memo keeps per (rank, bound), and read again only
-what a member that differs from it changes.  Structure constants do not
-depend on the basis they are written in, so the duality check writes a
-member that differs as the true character plus a sum of characters
-below it (through _inverse_kostka, h(mu) in the character basis, kept
-per weight), and a row that reads it as its difference from the truth's
-row; no ring product is formed.  The truth's rows satisfy the identity,
-so only the comparisons that read a moved entry are made.
+compare a family with the true characters of oracle.true_characters, and
+read again only what a member that differs from them changes.  Structure
+constants do not depend on the basis they are written in, so the duality
+check writes a member that differs as the true character plus a sum of
+characters below it (through oracle.inverse_kostka, h(mu) in the
+character basis), and a row that reads it as its difference from the
+truth's row; no ring product is formed.  The truth's rows satisfy the
+identity, so only the comparisons that read a moved entry are made.
 extract_structure_constants is the product route, and the tests'
 reference for those rows.
 """
@@ -52,7 +51,7 @@ from .lattice import (
     support_size,
     zero_weight,
 )
-from .oracle import _TRUTH, decompose, freudenthal_character, tensor_decompose
+from .oracle import freudenthal_character, inverse_kostka, tensor_decompose, true_characters
 from .ring import CharElement, expand, orbit_sum, unit
 
 
@@ -108,25 +107,11 @@ def validate_family(fam: CharacterFamily) -> None:
             raise ValueError(f"member {lam} has support outside its saturated set")
 
 
-def _true_members(l: int, bound: int, cache_dir: str | None) -> dict[Eps, CharElement]:
-    """The members of true_family(l, bound), as the one dict that
-    oracle._TRUTH keeps until oracle.clear_memo(); no caller may change
-    it."""
-    members = _TRUTH.get((l, bound))
-    if members is None:
-        index = dominant_weights_up_to(l, bound)
-        members = _TRUTH[l, bound] = {
-            lam: freudenthal_character(l, lam, cache_dir) for lam in index
-        }
-    return members
-
-
 def true_family(l: int, bound: int, cache_dir: str | None = None) -> CharacterFamily:
     """The family of genuine characters on the given bound, indexed by
-    the lattice index; it builds no layout.  The characters are fetched
-    once per oracle memo, each through cache_dir, and every call returns
-    its own dict of them."""
-    return CharacterFamily(l, bound, dict(_true_members(l, bound, cache_dir)))
+    the lattice index; it builds no layout.  The characters are those of
+    oracle.true_characters, and every call returns its own dict of them."""
+    return CharacterFamily(l, bound, dict(true_characters(l, bound, cache_dir)))
 
 
 def default_split(lam: Eps) -> tuple[Eps, Eps]:
@@ -310,15 +295,7 @@ class _Layout(
     order of pairs and their rows' weights.  comparisons[c] holds its
     record (mu, nu, lam, k', d), once.  At most four comparisons read an
     entry: with (x, y) either order of k's pair, those of (x, y) at t and
-    of (t, y*) at x.
-
-    The table is kept for the life of the process, and
-    oracle.clear_memo() leaves it in place, as it leaves _inverse_kostka's
-    memo.  That is exact: the rows are Littlewood-Richardson
-    coefficients, fixed by (l, bound), and a recomputed character gives
-    the same rows.  Only a character read from a cache file whose lower
-    multiplicities were edited, which the loader does not detect, makes
-    the memo disagree with the truth."""
+    of (t, y*) at x."""
 
     __slots__ = ()
 
@@ -396,18 +373,6 @@ def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> lis
     return violations
 
 
-@functools.cache
-def _inverse_kostka(mu: Eps) -> dict[Eps, int]:
-    """K^-1(mu): h(mu) in the character basis, decompose(orbit_sum(mu)),
-    the nonzero coefficients only.  Every caller is handed the same dict,
-    which none may change.
-
-    Like _layout it is truth data kept for the life of the process, and
-    oracle.clear_memo() leaves it in place: exact, except after the
-    undetected edit of a cache file's lower multiplicities."""
-    return decompose(orbit_sum(mu))
-
-
 def _row_delta(layout: _Layout, k: int, changed: dict) -> dict[Eps, int]:
     """How the structure constants N of slot k's pair (a, b) differ from
     the truth's row R, the nonzero differences only.  changed maps each
@@ -474,12 +439,12 @@ def check_duality_condition(
     every triple whose dual pair (lam, nu*) has a row in bound; truth is
     the true family on the same bound.
 
-    Returns (violations, skipped): violations are
-    (mu, nu, lam, lhs, rhs) tuples, skipped are (mu, nu, lam) triples
-    whose dual pair (lam, nu*) has no row in bound.  Raises ValueError
-    when the index set is not the dominant weights in bound, and when a
-    member that differs from the truth's is not unitriangular with
-    support in its saturated set.
+    Returns (violations, skipped): violations is a new list of
+    (mu, nu, lam, lhs, rhs) tuples, skipped the layout's one tuple of the
+    (mu, nu, lam) triples whose dual pair (lam, nu*) has no row in bound.
+    Raises ValueError when the index set is not the dominant weights in
+    bound, and when a member that differs from the truth's is not
+    unitriangular with support in its saturated set.
 
     Each row is the truth's unless it reads a member that differs from
     the truth's, and such a row is computed only as its difference from
@@ -507,7 +472,7 @@ def check_duality_condition(
         for mu, n in t.terms.items():
             d = f.terms.get(mu, 0) - n
             if d:
-                for s, x in _inverse_kostka(mu).items():
+                for s, x in inverse_kostka(mu).items():
                     e[s] = e.get(s, 0) + d * x
         changed[lam] = {s: x for s, x in e.items() if x}
     changed = dict(sorted(changed.items(), key=lambda kv: processing_key(kv[0]), reverse=True))
@@ -531,7 +496,7 @@ def check_duality_condition(
         dl, dr = deltas.get(k, unmoved).get(lam, 0), deltas.get(d, unmoved).get(mu, 0)
         if dl != dr:
             violations.append((mu, nu, lam, rows[k][2][lam] + dl, rows[d][2].get(mu, 0) + dr))
-    return violations, list(layout.skipped)
+    return violations, layout.skipped
 
 
 class ConditionReport(
@@ -560,9 +525,9 @@ def verify_family(
     fam: CharacterFamily, cache_dir: str | None = None
 ) -> ConditionReport:
     """Run both condition checks and compare the family memberwise
-    against the true characters, read from the one dict of true_family's
-    members that the oracle memo keeps."""
-    truth = CharacterFamily(fam.rank, fam.bound, _true_members(fam.rank, fam.bound, cache_dir))
+    against the true characters, read from oracle.true_characters with
+    no copy."""
+    truth = CharacterFamily(fam.rank, fam.bound, true_characters(fam.rank, fam.bound, cache_dir))
     support_violations = check_support_condition(fam, truth)
     duality_violations, skipped = check_duality_condition(fam, truth)
     equal = fam.members == truth.members

@@ -24,7 +24,6 @@ from charrig.oracle import (
     _constituent,
     _field_masks,
     _field_width,
-    _pair_fields,
     decompose,
     freudenthal_character,
     tensor_decompose,
@@ -420,23 +419,23 @@ class TestBrauerKlimyk:
 
     @pytest.mark.parametrize("l,lam,top", FIELD_CASES)
     def test_fields_stay_in_range(self, l, lam, top):
-        """F = C - D_x, packed from _pair_fields at the width the rule
-        gives, holds B - 1 + y_i - y_j in field k of the k-th pair i < j,
-        the adjacent pairs first and then by j - i, each in [0, 2^w), for
-        every weight x of lam and y = x + top + rho.  Off the walls, the
-        low l fields of sorted y (those of F itself when y is already
-        strictly decreasing) decode to the canonical key of sorted y."""
+        """F = C - D_x, packed from _field_masks' pair coefficients at the
+        width the rule gives, holds B - 1 + y_i - y_j in field k of the
+        k-th pair i < j, the adjacent pairs first and then by j - i, each
+        in [0, 2^w), for every weight x of lam and y = x + top + rho.  Off
+        the walls, the low l fields of sorted y (those of F itself when y
+        is already strictly decreasing) decode to the canonical key of
+        sorted y."""
         n = l + 1
         lam, top = w(l, *lam), w(l, *top)
         shift = [a + r for a, r in zip(top, rho(l))]
         width = _field_width(shift[0] + lam[0])
-        coeffs = _pair_fields(n, width)
+        *_, low_wall, adjacent, coeffs = _field_masks(n, width)
         half = 1 << (width - 1)
         pairs = sorted(itertools.combinations(range(n), 2), key=lambda p: p[1] - p[0])
         assert pairs[:l] == [(i, i + 1) for i in range(l)]
         ones = sum(1 << (width * k) for k in range(len(pairs)))
         low = (1 << (width * l)) - 1
-        *_, low_wall, adjacent = _field_masks(n, width)
         for d in saturated_dominants(lam):
             for x in orbit(d):
                 y = [a + b for a, b in zip(x, shift)]

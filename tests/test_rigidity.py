@@ -75,7 +75,7 @@ def naive_duality(fam):
                 rhs = row(lam, nw).get(mu, 0)
                 if lhs != rhs:
                     violations.append((mu, nu, lam, lhs, rhs))
-    return violations, skipped
+    return violations, tuple(skipped)
 
 
 def naive_support(fam):
@@ -438,11 +438,15 @@ class TestDualityCondition:
             assert check_duality_condition(family, fam)[1] == expected
 
     def test_returned_skipped_is_the_callers(self, fam10):
+        # every check hands out the layout's one tuple, which no caller
+        # can change, so no copy is made
         violations, skipped = check_duality_condition(fam10, fam10)
-        expected = list(skipped)
-        skipped.append(skipped[0])
-        check_duality_condition(fam10, fam10)[1].clear()
-        assert check_duality_condition(fam10, fam10) == (violations, expected)
+        assert type(skipped) is tuple
+        assert check_duality_condition(fam10, fam10)[1] is skipped
+        assert skipped is rigidity._layout(2, 10).skipped
+        with pytest.raises(AttributeError):
+            skipped.append(skipped[0])
+        assert check_duality_condition(fam10, fam10) == (violations, naive_duality(fam10)[1])
 
     def test_witness_triple(self, fam10):
         row = extract_structure_constants(fam10, w(1, 0), w(0, 1))
@@ -474,20 +478,21 @@ class TestDualityCondition:
 
 
 class TestInverseKostka:
-    """_inverse_kostka(mu): h(mu) in the character basis, kept per weight."""
+    """oracle.inverse_kostka(mu): h(mu) in the character basis, kept per
+    weight until oracle.clear_memo()."""
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
     def test_rows_rebuild_the_orbit_sums(self, l, bound):
         for mu in dominant_weights_up_to(l, bound):
             total = CharElement(l, {})
-            for s, c in rigidity._inverse_kostka(mu).items():
+            for s, c in oracle.inverse_kostka(mu).items():
                 total = total + c * freudenthal_character(l, s)
             assert total == orbit_sum(mu)
 
     def test_memo_is_unchanged_by_checks(self):
         # every caller shares the memoized dict, so a check that changed
         # one would show here
-        rigidity._inverse_kostka.cache_clear()
+        oracle.inverse_kostka.cache_clear()
         truth = true_family(2, 24)
         sites = perturbation_sites(truth)
         rng = random.Random(24)
@@ -497,12 +502,12 @@ class TestInverseKostka:
                 lam, mu = rng.choice(sites)
                 fam = perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2]))
             check_duality_condition(fam, truth)
-        kept = rigidity._inverse_kostka.cache_info()
+        kept = oracle.inverse_kostka.cache_info()
         assert kept.currsize > 1
         for mu in dominant_weights_up_to(2, 24):
-            assert rigidity._inverse_kostka(mu) == oracle.decompose(orbit_sum(mu))
+            assert oracle.inverse_kostka(mu) == oracle.decompose(orbit_sum(mu))
         # every memoized row was among those compared
-        assert rigidity._inverse_kostka.cache_info().hits - kept.hits == kept.currsize
+        assert oracle.inverse_kostka.cache_info().hits - kept.hits == kept.currsize
 
 
 class TestReference:
@@ -706,6 +711,30 @@ class TestDualityState:
         validate_family(fam)
         assert check_duality_condition(fam, truth) == naive_duality(fam)
 
+    def test_sites_and_seeded_families_equal_the_product_route(self):
+        # every single site at A2/10, then 30 seeded families of 2-4 sites
+        # at A2/12; the first changes f_(3,0) at two sites and f_(1,1),
+        # which lies below it: a row reading f_(3,0) reads a changed member
+        # below it, the chained case of the row differences
+        truth = true_family(2, 10)
+        for lam, mu in perturbation_sites(truth):
+            for delta in (-2, 1):
+                fam = perturb_family(truth, lam, mu, delta)
+                assert check_duality_condition(fam, truth) == naive_duality(fam)
+        truth = true_family(2, 12)
+        sites = perturbation_sites(truth)
+        families = [[(w(3, 0), w(1, 1), 1), (w(3, 0), w(0, 0), -2), (w(1, 1), w(0, 0), 1)]]
+        rng = random.Random(12)
+        while len(families) < 30:
+            families.append(
+                [(*rng.choice(sites), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(2, 4))]
+            )
+        for changes in families:
+            fam = truth
+            for lam, mu, delta in changes:
+                fam = perturb_family(fam, lam, mu, delta)
+            assert check_duality_condition(fam, truth) == naive_duality(fam)
+
     def test_forms_no_product(self, monkeypatch):
         truth = true_family(2, 20)
         lam, mu = w(2, 2), w(1, 1)
@@ -847,15 +876,18 @@ class TestLayout:
     def test_only_the_checks_and_lr_table_build_it(self):
         # true_family, perturbation and reconstruction read the lattice
         # index, so a perturb or reconstruct run builds no layout, and the
-        # support check reads each weight's sites, not the truth table
+        # support check reads each weight's sites, not the truth table,
+        # from a cold or a warm memo of the true characters
         rigidity._layout.cache_clear()
-        truth = true_family(2, 30)
-        lam, mu = perturbation_sites(truth)[-1]
-        perturb_family(truth, lam, mu, 1)
-        reconstruct_family(lr_oracle(2), 2, 30)
-        small = perturb_family(truth, w(2, 0), w(0, 1), 1)
-        assert check_support_condition(small, truth) == [(w(2, 0), w(0, 1), 1, 2)]
-        assert check_support_condition(truth, truth) == []
+        oracle.clear_memo()
+        for _ in range(2):
+            truth = true_family(2, 30)
+            lam, mu = perturbation_sites(truth)[-1]
+            perturb_family(truth, lam, mu, 1)
+            reconstruct_family(lr_oracle(2), 2, 30)
+            small = perturb_family(truth, w(2, 0), w(0, 1), 1)
+            assert check_support_condition(small, truth) == [(w(2, 0), w(0, 1), 1, 2)]
+            assert check_support_condition(truth, truth) == []
         assert rigidity._layout.cache_info().currsize == 0
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
@@ -945,8 +977,10 @@ class TestVerify:
 
     def test_fetches_each_true_character_once(self, monkeypatch):
         # on a cleared memo the first check fetches each true character
-        # once; a second reads the memo's members and fetches none
+        # once; a second reads the memo's members and fetches none.  The
+        # duality table, which outlives clear_memo, is built first
         fam = fresh_copy(true_family(2, 12))
+        rigidity._layout(2, 12)
         oracle.clear_memo()
         calls = []
 
@@ -954,7 +988,7 @@ class TestVerify:
             calls.append(args)
             return freudenthal_character(*args)
 
-        monkeypatch.setattr(rigidity, "freudenthal_character", fetch)
+        monkeypatch.setattr(oracle, "freudenthal_character", fetch)
         assert verify_family(fam).members_equal
         assert calls == [(2, lam, None) for lam in fam.members]
         assert verify_family(fam).members_equal
@@ -971,6 +1005,46 @@ class TestVerify:
         assert set(os.listdir(tmp_path / "cold")) == names
         true_family(2, 12, str(tmp_path / "warm"))
         assert not (tmp_path / "warm").exists()
+
+    def test_single_site_reports_equal_after_clear_memo(self):
+        # verify_family reads the true characters and K^-1 from the memo
+        truth = true_family(2, 10)
+        sites = perturbation_sites(truth)
+        families = [perturb_family(truth, lam, mu, d) for lam, mu in sites for d in (-1, 1)]
+        warm = [verify_family(fam) for fam in families]
+        for fam, report in zip(families, warm):
+            oracle.clear_memo()
+            assert verify_family(fam) == report
+
+    def test_cleared_memo_forgets_an_edited_file(self, tmp_path):
+        # K^-1 is computed from the characters, so clear_memo drops it with
+        # them; the duality table alone outlives it.  The table is built on
+        # clean characters, then f_(3,0) is checked against an edited
+        # character of (1,1), whose multiplicity K^-1(1,1) reads
+        cache = str(tmp_path)
+        oracle.clear_memo()
+        truth = true_family(2, 12, cache)
+        layout = rigidity._layout(2, 12)
+        fam = perturb_family(truth, w(3, 0), w(1, 1), 1)
+        clean = cold_report(fam)
+        assert not clean.passed
+        path = oracle._cache_path(cache, 2, w(1, 1))
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        doc = json.loads(text)
+        assert doc["terms"][1] == {"mu": [0, 0], "coeff": 2}
+        doc["terms"][1]["coeff"] = 3
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        oracle.clear_memo()
+        assert verify_family(fam, cache) != clean
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        oracle.clear_memo()
+        assert oracle._MEMO == {} and oracle._TRUTH == {}
+        assert oracle.inverse_kostka.cache_info().currsize == 0
+        assert rigidity._layout(2, 12) is layout
+        assert verify_family(fam, cache) == clean
 
     def test_members_are_each_callers_own(self):
         # changing one result's members changes neither a later result nor
