@@ -30,10 +30,13 @@ class CLIError(Exception):
 
 
 def _parse_coords(text: str, l: int) -> tuple[int, ...]:
-    try:
-        coords = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise CLIError(2, f"malformed weight {text!r}") from None
+    parts = text.split(",")
+    # an optional minus sign and ASCII digits: int() alone also takes 1_0
+    # for 10, a plus sign and the digits of other scripts
+    unsigned = [p.strip().removeprefix("-") for p in parts]
+    if not all(u.isascii() and u.isdigit() for u in unsigned):
+        raise CLIError(2, f"malformed weight {text!r}")
+    coords = tuple(map(int, parts))
     if len(coords) != l:
         raise CLIError(2, f"expected {l} coordinates in {text!r}")
     return coords
@@ -156,7 +159,7 @@ def cmd_reconstruct(args) -> int:
             "oracle incomplete: missing entry for "
             f"({_coords_str(mu)}; {_coords_str(nu)}; {_coords_str(s)})",
         ) from None
-    truth = rigidity.true_family(args.rank, args.bound, cache).members
+    truth = oracle.true_characters(args.rank, args.bound, cache)
     diff = [
         {
             "lambda": serialize.weight_doc(lam),
@@ -295,15 +298,10 @@ def _add_common(p, fmt=False) -> None:
         p.add_argument("--format", choices=("json", "tsv"), default="json")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The charrig parser, built once per process: parse_args leaves it
-    unchanged."""
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple:
-    """The charrig parser and its {command: subparser} map."""
+    """The charrig parser and its {command: subparser} map, built once
+    per process: parse_args leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="charrig",
         description="Exact type A characters, tensor decompositions, and "
@@ -363,7 +361,7 @@ def _parsers() -> tuple:
 
 
 def parse_args(argv=None):
-    """The namespace build_parser().parse_args(argv) returns, in one
+    """The namespace _parsers()[0].parse_args(argv) returns, in one
     argparse pass: the command's own parser reads the arguments after the
     command word.  The top-level parser runs only where the full parse
     ends in help or an error (no command, an unknown one, or arguments the

@@ -64,11 +64,6 @@ def is_dominant(eps: Eps) -> bool:
     return all(eps[i] >= eps[i + 1] for i in range(len(eps) - 1))
 
 
-def dominant_representative(w: Eps) -> Eps:
-    """The unique dominant point of the Weyl orbit of w."""
-    return canonical(sorted(w, reverse=True))
-
-
 def add(a: Eps, b: Eps) -> Eps:
     """Coset addition (well defined modulo the all-ones vector)."""
     if len(a) != len(b):

@@ -19,22 +19,22 @@ each entry of a row, each comparison named by one integer that sorts in
 pair order and kept with its record.  lr_table is those rows.  The
 support check reads only each weight's small-support sites, which
 _small_support keeps per weight, so it builds no table.  Both checks
-compare a family with the true characters of oracle.true_characters, and
-read again only what a member that differs from them changes.  Structure
+take only the family: each reads the true characters on its bound from
+oracle.true_characters, so no caller can hand it another truth, and
+reads again only what a member that differs from them changes.  Structure
 constants do not depend on the basis they are written in, so the duality
 check writes a member that differs as the true character plus a sum of
 characters below it (through oracle.inverse_kostka, h(mu) in the
 character basis), and a row that reads it as its difference from the
 truth's row; no ring product is formed.  The truth's rows satisfy the
 identity, so only the comparisons that read a moved entry are made.
+reconstruct_family is the one library caller that forms ring products.
 extract_structure_constants is the product route, and the tests'
 reference for those rows.
 """
 
 import collections
 import functools
-import itertools
-import random
 
 from .lattice import (
     Eps,
@@ -124,27 +124,6 @@ def default_split(lam: Eps) -> tuple[Eps, Eps]:
     return fundamental_weight(l, i + 1), from_fundamental(l, fc)
 
 
-def random_split(seed: int):
-    """A deterministic randomized split rule: any mu with 0 < mu < lam
-    componentwise in fundamental coordinates."""
-    rng = random.Random(seed)
-
-    def split(lam: Eps) -> tuple[Eps, Eps]:
-        l = len(lam) - 1
-        fc = fundamental_coords(lam)
-        choices = [
-            c
-            for c in itertools.product(*(range(k + 1) for k in fc))
-            if any(c) and c != fc
-        ]
-        mu_fc = rng.choice(choices)
-        mu = from_fundamental(l, mu_fc)
-        nu = from_fundamental(l, [a - b for a, b in zip(fc, mu_fc)])
-        return mu, nu
-
-    return split
-
-
 def reconstruct_family(
     oracle, l: int, bound: int, split=None
 ) -> CharacterFamily:
@@ -171,7 +150,10 @@ def reconstruct_family(
             ):
                 raise ValueError(f"invalid split {mu} + {nu} for {lam}")
             row = {s: oracle(mu, nu, s) for s in saturated_dominants(lam) if s != lam}
-            f = _recursion_step(members, mu, nu, row)
+            f = members[mu] * members[nu]
+            for s, ns in row.items():
+                if ns:
+                    f = f - ns * members[s]
             if f.coefficient(lam) != 1:
                 raise ArithmeticError(f"rebuilt member {lam} must have leading coefficient 1")
             members[lam] = f
@@ -237,29 +219,6 @@ def extract_structure_constants(
     return expand(
         (members[mu] * members[nu]).terms, saturated_dominants(lam0), lambda t: members[t].terms
     )
-
-
-def _recursion_step(
-    members: dict, mu: Eps, nu: Eps, row: dict[Eps, int]
-) -> CharElement:
-    """f_mu * f_nu - sum row[s] * f_s over the row's weights s other than
-    mu + nu: f_{mu+nu} itself when row holds its structure constants."""
-    lam0 = add(mu, nu)
-    f = members[mu] * members[nu]
-    for s, ns in row.items():
-        if ns and s != lam0:
-            f = f - ns * members[s]
-    return f
-
-
-def multiplicity_from_product(
-    fam: CharacterFamily, mu: Eps, nu: Eps, t: Eps, row: dict[Eps, int]
-) -> int:
-    """The coefficient of e(t) in the recursion formula for f_{mu+nu},
-    which never reads f_{mu+nu} itself.  row maps s to n^s_{mu nu} from
-    any source: extract_structure_constants, or an independent oracle
-    such as tensor_decompose."""
-    return _recursion_step(fam.members, mu, nu, row).e_coefficient(t)
 
 
 class _Layout(
@@ -349,15 +308,15 @@ def _small_support(lam: Eps) -> tuple[Eps, ...]:
     )
 
 
-def check_support_condition(fam: CharacterFamily, truth: CharacterFamily) -> list[tuple]:
-    """Compare the multiplicities of fam against those of truth, the
-    true family on the same bound, at every site where lam - mu misses at
-    least one simple root.
+def check_support_condition(fam: CharacterFamily) -> list[tuple]:
+    """Compare the multiplicities of fam against those of the true
+    characters on its bound, oracle.true_characters, at every site where
+    lam - mu misses at least one simple root.
 
     Returns (lam, mu, expected, found) violation tuples, in index order.
     Raises ValueError when the index set is not the dominant weights in
     bound."""
-    members, truth_members = fam.members, truth.members
+    members, truth_members = fam.members, true_characters(fam.rank, fam.bound)
     if members.keys() != truth_members.keys():
         raise ValueError("index set is not exactly the dominant weights in bound")
     violations = []
@@ -432,12 +391,10 @@ def _entry_readers(layout: _Layout, k: int, t: Eps) -> list[int]:
     return out
 
 
-def check_duality_condition(
-    fam: CharacterFamily, truth: CharacterFamily
-) -> tuple[list[tuple], list[tuple]]:
+def check_duality_condition(fam: CharacterFamily) -> tuple[list[tuple], list[tuple]]:
     """Check the tensor duality identity n_{mu nu}^lam = n_{lam nu*}^mu on
-    every triple whose dual pair (lam, nu*) has a row in bound; truth is
-    the true family on the same bound.
+    every triple whose dual pair (lam, nu*) has a row in bound, against
+    the true characters on fam's bound, oracle.true_characters.
 
     Returns (violations, skipped): violations is a new list of
     (mu, nu, lam, lhs, rhs) tuples, skipped the layout's one tuple of the
@@ -452,7 +409,7 @@ def check_duality_condition(
     rows satisfy the identity (c^lam_{mu nu} = c^mu_{lam nu*}), so a
     triple can fail only where one of its two entries moved, and only
     the comparisons that read a moved entry are made, in pair order."""
-    truth_members = truth.members
+    truth_members = true_characters(fam.rank, fam.bound)
     if fam.members.keys() != truth_members.keys():
         raise ValueError("index set is not exactly the dominant weights in bound")
     layout = _layout(fam.rank, fam.bound)
@@ -525,13 +482,13 @@ def verify_family(
     fam: CharacterFamily, cache_dir: str | None = None
 ) -> ConditionReport:
     """Run both condition checks and compare the family memberwise
-    against the true characters, read from oracle.true_characters with
-    no copy."""
-    truth = CharacterFamily(fam.rank, fam.bound, true_characters(fam.rank, fam.bound, cache_dir))
-    support_violations = check_support_condition(fam, truth)
-    duality_violations, skipped = check_duality_condition(fam, truth)
-    equal = fam.members == truth.members
-    return ConditionReport(support_violations, duality_violations, skipped, equal)
+    against the true characters.  The truth is fetched through cache_dir
+    once, before the checks, which read the same oracle.true_characters
+    dict."""
+    truth = true_characters(fam.rank, fam.bound, cache_dir)
+    support_violations = check_support_condition(fam)
+    duality_violations, skipped = check_duality_condition(fam)
+    return ConditionReport(support_violations, duality_violations, skipped, fam.members == truth)
 
 
 def perturb_family(

@@ -13,7 +13,6 @@ import operator
 
 from .lattice import (
     Eps,
-    dominant_representative,
     is_dominant,
     orbit,
     orbit_size,
@@ -58,10 +57,6 @@ class CharElement:
     def coefficient(self, mu: Eps) -> int:
         """Coefficient of h(mu)."""
         return self.terms.get(mu, 0)
-
-    def e_coefficient(self, x: Eps) -> int:
-        """Coefficient of e(x): the h-coefficient at x's dominant representative."""
-        return self.terms.get(dominant_representative(x), 0)
 
     def _require_same_rank(self, other: "CharElement") -> None:
         if self.rank != other.rank:

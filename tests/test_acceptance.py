@@ -30,15 +30,14 @@ from charrig.rigidity import (
     default_split,
     extract_structure_constants,
     lr_oracle,
-    multiplicity_from_product,
     perturb_family,
     perturbation_sites,
-    random_split,
     reconstruct_family,
     true_family,
     verify_family,
 )
 from charrig.ring import orbit_sum, unit
+from product_route import multiplicity_from_product, random_split
 
 
 def _report(number: int, name: str) -> None:

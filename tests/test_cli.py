@@ -421,6 +421,40 @@ def test_range_errors_exit_2_with_one_message(tmp_path, monkeypatch, capsys, arg
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        # int() reads 1_0 as 10, +1 as 1 and an Arabic-Indic digit as its value
+        "char --rank 2 --weight 1_0,0",
+        "char --rank 2 --weight ١,0",
+        "char --rank 2 --weight +1,0",
+        "char --rank 2 --weight 1,,0",
+        "char --rank 2 --weight 1,-",
+        "tensor --rank 2 --mu 1,0 --nu 0,1_0",
+        "tensor --rank 2 --mu ١,0 --nu 0,1",
+        "perturb --rank 2 --bound 10 --site ٢,0:0,1 --delta 1 --out f.json",
+        "perturb --rank 2 --bound 10 --site 2,0:0,1_0 --delta 1 --out f.json",
+    ],
+)
+def test_malformed_weight_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv.split()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("charrig: malformed weight") and err.count("\n") == 1
+    assert os.listdir(tmp_path) == []
+
+
+def test_weight_coordinates_may_be_padded(capsys):
+    # whitespace around a coordinate is read as before; a minus sign still
+    # reaches the dominance check
+    assert cli.main(["char", "--rank", "2", "--weight", "1,1"]) == 0
+    expected = capsys.readouterr()
+    assert cli.main(["char", "--rank", "2", "--weight", " 1 ,\t1\n"]) == 0
+    assert capsys.readouterr() == expected
+    assert cli.main(["char", "--rank", "2", "--weight", " -1,0"]) == 2
+    assert "negative fundamental coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv,what",
     [
         ("verify --family deep.json", "family"),
@@ -441,7 +475,7 @@ def test_deeply_nested_input_exits_2(tmp_path, monkeypatch, capsys, argv, what):
 def parent_parse(argv):
     """The parse cli.main made before it dispatched on the command word:
     the reference for cli.parse_args."""
-    return cli.build_parser().parse_args(argv)
+    return cli._parsers()[0].parse_args(argv)
 
 
 def parse_outcome(parse, argv, capsys):

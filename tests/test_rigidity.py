@@ -37,10 +37,8 @@ from charrig.rigidity import (
     extract_structure_constants,
     lr_oracle,
     lr_table,
-    multiplicity_from_product,
     perturb_family,
     perturbation_sites,
-    random_split,
     reconstruct_family,
     table_oracle,
     true_family,
@@ -49,6 +47,7 @@ from charrig.rigidity import (
 )
 from charrig.ring import CharElement, orbit_sum, unit
 from charrig.serialize import dump_doc, family_from_doc, family_to_doc
+from product_route import multiplicity_from_product, random_split
 
 
 def w(*coords):
@@ -208,9 +207,8 @@ class TestReconstruction:
         assert fam.members == fam12.members
 
     def test_wrong_leading_coefficient_raises(self, monkeypatch):
-        monkeypatch.setattr(
-            rigidity, "_recursion_step", lambda members, mu, nu, row: CharElement(2, {})
-        )
+        # base members 2 h(omega_i): their products lead with 4
+        monkeypatch.setattr(rigidity, "orbit_sum", lambda lam: 2 * orbit_sum(lam))
         with pytest.raises(ArithmeticError, match="leading coefficient"):
             reconstruct_family(lr_oracle(2), 2, 10)
 
@@ -274,7 +272,7 @@ class TestLRTable:
         calls.clear()
         truth = true_family(2, 16)
         assert lr_table(2, 16) == table
-        assert check_duality_condition(truth, truth)[0] == []
+        assert check_duality_condition(truth)[0] == []
         assert calls == []
 
     def test_equals_the_oracle_route_and_writes_the_factors_files(self, tmp_path):
@@ -373,17 +371,17 @@ class TestMultiplicityFromProduct:
 
 class TestSupportCondition:
     def test_true_family_clean(self, fam12):
-        assert check_support_condition(fam12, fam12) == []
+        assert check_support_condition(fam12) == []
 
     def test_small_support_site_flagged(self):
         fam = true_family(2, 14)
         bad = perturb_family(fam, w(2, 1), w(0, 2), 1)
-        violations = check_support_condition(bad, fam)
+        violations = check_support_condition(bad)
         assert (w(2, 1), w(0, 2), 1, 2) in violations
 
     def test_full_support_site_not_flagged(self, fam10):
         bad = perturb_family(fam10, w(1, 1), w(0, 0), 1)
-        assert check_support_condition(bad, fam10) == []
+        assert check_support_condition(bad) == []
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30), (4, 30)])
     def test_matches_naive_check(self, l, bound):
@@ -395,18 +393,18 @@ class TestSupportCondition:
         assert any(naive_support(family) for family in families)
         for family in families:
             expected = naive_support(family)
-            assert check_support_condition(family, fam) == expected
-            assert check_support_condition(fresh_copy(family), fam) == expected
+            assert check_support_condition(family) == expected
+            assert check_support_condition(fresh_copy(family)) == expected
 
 
 class TestDualityCondition:
     def test_true_family_clean(self, fam10):
-        violations, skipped = check_duality_condition(fam10, fam10)
+        violations, skipped = check_duality_condition(fam10)
         assert violations == []
         assert skipped  # the finite bound always truncates some duals
 
     def test_skipped_exactly_the_escapees(self, fam10):
-        _, skipped = check_duality_condition(fam10, fam10)
+        _, skipped = check_duality_condition(fam10)
         for mu, nu, lam in skipped:
             nw = dual_weight(nu)
             assert (
@@ -416,7 +414,7 @@ class TestDualityCondition:
     @pytest.mark.parametrize("delta", [1, -1, 2])
     def test_full_support_perturbation_caught(self, fam10, delta):
         bad = perturb_family(fam10, w(1, 1), w(0, 0), delta)
-        violations, _ = check_duality_condition(bad, fam10)
+        violations, _ = check_duality_condition(bad)
         assert violations
         assert any(w(1, 1) in (mu, nu, add(mu, nu)) for mu, nu, lam, _, _ in violations)
 
@@ -427,26 +425,26 @@ class TestDualityCondition:
         truth = true_family(l, bound)
         for family in sweep_families(truth):
             expected = naive_duality(family)
-            assert check_duality_condition(family, truth) == expected
-            assert check_duality_condition(fresh_copy(family), truth) == expected
+            assert check_duality_condition(family) == expected
+            assert check_duality_condition(fresh_copy(family)) == expected
 
     @pytest.mark.parametrize("l,bound", [(2, 24), (3, 30)])
     def test_skipped_is_the_same_for_every_family(self, l, bound):
         fam = true_family(l, bound)
         _, expected = naive_duality(fam)
         for family in sweep_families(fam):
-            assert check_duality_condition(family, fam)[1] == expected
+            assert check_duality_condition(family)[1] == expected
 
     def test_returned_skipped_is_the_callers(self, fam10):
         # every check hands out the layout's one tuple, which no caller
         # can change, so no copy is made
-        violations, skipped = check_duality_condition(fam10, fam10)
+        violations, skipped = check_duality_condition(fam10)
         assert type(skipped) is tuple
-        assert check_duality_condition(fam10, fam10)[1] is skipped
+        assert check_duality_condition(fam10)[1] is skipped
         assert skipped is rigidity._layout(2, 10).skipped
         with pytest.raises(AttributeError):
             skipped.append(skipped[0])
-        assert check_duality_condition(fam10, fam10) == (violations, naive_duality(fam10)[1])
+        assert check_duality_condition(fam10) == (violations, naive_duality(fam10)[1])
 
     def test_witness_triple(self, fam10):
         row = extract_structure_constants(fam10, w(1, 0), w(0, 1))
@@ -472,7 +470,7 @@ class TestDualityCondition:
         with pytest.raises(ValueError, match=match):
             validate_family(fam)
         with pytest.raises(ValueError, match=match):
-            check_duality_condition(fam, fam10)
+            check_duality_condition(fam)
         if match == "not unitriangular":
             assert len(naive_duality(fam)[0]) == 5
 
@@ -501,7 +499,7 @@ class TestInverseKostka:
             for _ in range(rng.randint(1, 3)):
                 lam, mu = rng.choice(sites)
                 fam = perturb_family(fam, lam, mu, rng.choice([-2, -1, 1, 2]))
-            check_duality_condition(fam, truth)
+            check_duality_condition(fam)
         kept = oracle.inverse_kostka.cache_info()
         assert kept.currsize > 1
         for mu in dominant_weights_up_to(2, 24):
@@ -518,14 +516,8 @@ class TestReference:
     def test_one_entry_per_rank_and_bound(self):
         rigidity._layout.cache_clear()
         small, large = true_family(2, 10), true_family(2, 12)
-        checks = [
-            (small, small),
-            (large, large),
-            (perturb_family(large, w(1, 1), w(0, 0), 1), large),
-            (fresh_copy(small), small),
-        ]
-        for fam, truth in checks:
-            check_duality_condition(fam, truth)
+        for fam in (small, large, perturb_family(large, w(1, 1), w(0, 0), 1), fresh_copy(small)):
+            check_duality_condition(fam)
         assert rigidity._layout.cache_info().currsize == 2
         for bound in (10, 12):
             layout = rigidity._layout(2, bound)
@@ -558,7 +550,7 @@ class TestReference:
 
     def test_child_adds_nothing(self):
         truth = true_family(2, 10)
-        check_duality_condition(truth, truth)
+        check_duality_condition(truth)
         state = rigidity._layout(2, 10)
         rows, readers = [dict(row) for _, _, row in state.rows], dict(state.readers)
         child = perturb_family(truth, w(1, 1), w(0, 0), 1)
@@ -675,7 +667,7 @@ def unitriangular_families(data, shapes):
             mu = data.draw(st.sampled_from(lower), label="site")
             terms[mu] += data.draw(st.sampled_from([-1, 1]), label="delta")
             members[lam] = CharElement(l, terms)
-    return truth, CharacterFamily(l, bound, members)
+    return CharacterFamily(l, bound, members)
 
 
 class TestDualityState:
@@ -707,9 +699,9 @@ class TestDualityState:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_unitriangular_families_equal_the_product_route(self, data):
-        truth, fam = unitriangular_families(data, [(1, 16), (2, 12), (3, 12), (4, 14)])
+        fam = unitriangular_families(data, [(1, 16), (2, 12), (3, 12), (4, 14)])
         validate_family(fam)
-        assert check_duality_condition(fam, truth) == naive_duality(fam)
+        assert check_duality_condition(fam) == naive_duality(fam)
 
     def test_sites_and_seeded_families_equal_the_product_route(self):
         # every single site at A2/10, then 30 seeded families of 2-4 sites
@@ -720,7 +712,7 @@ class TestDualityState:
         for lam, mu in perturbation_sites(truth):
             for delta in (-2, 1):
                 fam = perturb_family(truth, lam, mu, delta)
-                assert check_duality_condition(fam, truth) == naive_duality(fam)
+                assert check_duality_condition(fam) == naive_duality(fam)
         truth = true_family(2, 12)
         sites = perturbation_sites(truth)
         families = [[(w(3, 0), w(1, 1), 1), (w(3, 0), w(0, 0), -2), (w(1, 1), w(0, 0), 1)]]
@@ -733,7 +725,7 @@ class TestDualityState:
             fam = truth
             for lam, mu, delta in changes:
                 fam = perturb_family(fam, lam, mu, delta)
-            assert check_duality_condition(fam, truth) == naive_duality(fam)
+            assert check_duality_condition(fam) == naive_duality(fam)
 
     def test_forms_no_product(self, monkeypatch):
         truth = true_family(2, 20)
@@ -757,7 +749,7 @@ class TestDualityState:
         for name in ("__mul__", "__rmul__"):
             monkeypatch.setattr(CharElement, name, forbidden)
         rigidity._layout.cache_clear()
-        assert [check_duality_condition(fam, truth) for fam in families] == expected
+        assert [check_duality_condition(fam) for fam in families] == expected
 
     def test_second_check_builds_no_row(self, built_rows, monkeypatch):
         # the truth's rows are the table's, so no check of the truth or of
@@ -771,11 +763,11 @@ class TestDualityState:
 
         monkeypatch.setattr(rigidity, "tensor_decompose", counted)
         fam = true_family(2, 12)
-        first = check_duality_condition(fam, fam)
+        first = check_duality_condition(fam)
         assert len(calls) == len(rigidity._layout(2, 12).rows)
         calls.clear()
         for copy in (fam, fresh_copy(fam)):
-            assert check_duality_condition(copy, fam) == first
+            assert check_duality_condition(copy) == first
         assert built_rows == [] and calls == []
 
     @pytest.mark.parametrize("lam,mu", [(w(1, 1), w(0, 0)), (w(2, 2), w(1, 1))])
@@ -814,7 +806,7 @@ class TestDualityState:
     def test_state_is_kept_per_bound(self):
         # the table of one bound is never read for another
         other = true_family(2, 10)
-        check_duality_condition(other, other)
+        check_duality_condition(other)
         bad = perturb_family(true_family(2, 12), w(1, 1), w(0, 0), 1)
         assert verify_family(bad) == cold_report(bad)
         for b in (10, 12):
@@ -825,33 +817,35 @@ class TestDualityState:
     def test_returned_lists_are_the_callers(self):
         truth = true_family(2, 10)
         bad = perturb_family(truth, w(1, 1), w(0, 0), 1)
-        violations, _ = check_duality_condition(bad, truth)
+        violations, _ = check_duality_condition(bad)
         expected = list(violations)
         violations.clear()
         row = extract_structure_constants(bad, w(1, 0), w(0, 1))
         row[w(0, 0)] = 99
-        again, _ = check_duality_condition(bad, truth)
+        again, _ = check_duality_condition(bad)
         assert again == expected
         again.append(again[0])
         child = perturb_family(bad, w(2, 0), w(0, 1), 1)
-        assert check_duality_condition(child, truth)[0] == cold_report(child).duality_violations
-        assert check_duality_condition(bad, truth)[0] == expected
-        assert check_duality_condition(truth, truth)[0] == []
+        assert check_duality_condition(child)[0] == cold_report(child).duality_violations
+        assert check_duality_condition(bad)[0] == expected
+        assert check_duality_condition(truth)[0] == []
 
 
-# both checks, each given the true family on the family's bound
+# both checks, each reading the true characters on the family's bound
 CHECKS = pytest.mark.parametrize(
     "check",
-    [
-        pytest.param(
-            lambda fam: check(fam, true_family(fam.rank, fam.bound)), id=check.__name__
-        )
-        for check in (check_support_condition, check_duality_condition)
-    ],
+    [check_support_condition, check_duality_condition],
+    ids=lambda check: check.__name__,
 )
 
 
 class TestLayout:
+    @CHECKS
+    def test_takes_only_the_family(self, fam10, check):
+        # no caller can hand a check another truth
+        with pytest.raises(TypeError):
+            check(fam10, fam10)
+
     @CHECKS
     def test_missing_member_refused(self, fam10, check):
         members = dict(fam10.members)
@@ -886,8 +880,8 @@ class TestLayout:
             perturb_family(truth, lam, mu, 1)
             reconstruct_family(lr_oracle(2), 2, 30)
             small = perturb_family(truth, w(2, 0), w(0, 1), 1)
-            assert check_support_condition(small, truth) == [(w(2, 0), w(0, 1), 1, 2)]
-            assert check_support_condition(truth, truth) == []
+            assert check_support_condition(small) == [(w(2, 0), w(0, 1), 1, 2)]
+            assert check_support_condition(truth) == []
         assert rigidity._layout.cache_info().currsize == 0
 
     @pytest.mark.parametrize("l,bound", [(1, 30), (2, 24), (3, 30)])
@@ -974,6 +968,16 @@ class TestVerify:
         report = verify_family(perturb_family(fam10, w(2, 0), w(0, 1), 1))
         assert not report.support_pass
         assert not report.members_equal
+
+    def test_checks_read_the_truth_themselves(self):
+        # a check handed the family itself as its truth once passed it; both
+        # now read the true characters on its bound, as verify_family does
+        fam = perturb_family(true_family(2, 24), w(2, 0), w(0, 1), 1)
+        support, duality = naive_support(fam), naive_duality(fam)
+        assert len(support) == 1 and len(duality[0]) == 48
+        assert check_support_condition(fam) == support
+        assert check_duality_condition(fam) == duality
+        assert verify_family(fam) == ConditionReport(support, *duality, False)
 
     def test_fetches_each_true_character_once(self, monkeypatch):
         # on a cleared memo the first check fetches each true character

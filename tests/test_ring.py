@@ -16,6 +16,7 @@ from charrig.lattice import (
 )
 from charrig.oracle import freudenthal_character
 from charrig.ring import CharElement, expand, orbit_sum, unit
+from product_route import e_coefficient
 
 
 def w(l, *coords):
@@ -120,21 +121,21 @@ class TestConstruction:
 class TestECoefficient:
     def test_adjoint_zero_weight_space(self):
         ch = freudenthal_character(2, w(2, 1, 1))
-        assert ch.e_coefficient((0, 0, 0)) == 2
+        assert e_coefficient(ch, (0, 0, 0)) == 2
 
     def test_orbit_members(self):
         h = orbit_sum(w(2, 1, 0))
         for x in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-            assert h.e_coefficient(x) == 1
+            assert e_coefficient(h, x) == 1
 
     def test_absent_key(self):
-        assert orbit_sum(w(2, 1, 0)).e_coefficient((0, 0, 0)) == 0
+        assert e_coefficient(orbit_sum(w(2, 1, 0)), (0, 0, 0)) == 0
 
 
 class TestMultiply:
     def test_vector_times_covector(self):
         p = orbit_sum(w(2, 1, 0)) * orbit_sum(w(2, 0, 1))
-        assert p.e_coefficient((0, 0, 0)) == 3
+        assert e_coefficient(p, (0, 0, 0)) == 3
         assert p.coefficient(w(2, 1, 1)) == 1
 
     def test_unit_is_identity(self):
@@ -175,7 +176,7 @@ class TestModuleStructure:
         g = orbit_sum(w(2, 0, 1)) + orbit_sum(w(2, 1, 0)) * 2
         s = f + g
         for x in [(1, 0, 0), (1, 1, 0), (0, 0, 0)]:
-            assert s.e_coefficient(x) == f.e_coefficient(x) + g.e_coefficient(x)
+            assert e_coefficient(s, x) == e_coefficient(f, x) + e_coefficient(g, x)
 
 
 class TestRingLaws:
