@@ -4,6 +4,14 @@ Weights on the command line are comma-separated fundamental coordinates.
 JSON is the interchange format of record; char and tensor tables can
 also be rendered as TSV for spreadsheet diffing.
 
+Each option is declared once, in _parsers().  Arguments after the
+command word that are only exact --option value pairs, every value not
+starting with - and passing its option's type and choices checks, and
+every required option given, are read from a table built from the
+actions those declarations return; argparse reads everything else (help,
+usage errors, abbreviations, --opt=value, --, values starting with -),
+and the namespace, output and exit code are the same either way.
+
 Exit codes: 0 success/pass, 1 mathematical failure (nonempty diff or
 condition violation), 2 input error, 3 oracle incompleteness.
 """
@@ -292,72 +300,107 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _add_common(p, fmt=False) -> None:
-    p.add_argument("--cache-dir", help="persistent character cache directory")
+def _add_common(p, fmt=False) -> list:
+    actions = [p.add_argument("--cache-dir", help="persistent character cache directory")]
     if fmt:
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
+        actions.append(p.add_argument("--format", choices=("json", "tsv"), default="json"))
+    return actions
+
+
+def _table(p, *actions) -> tuple:
+    """The table parse_args reads the exact argv of p's command from:
+    ({option string: action}, {dest: default}, the required dests, func),
+    from actions, what p's add_argument calls returned, in their order.
+    A default is taken as it is: argparse would pass a string default
+    through its option's type, and no option has both."""
+    return (
+        {s: a for a in actions for s in a.option_strings},
+        {a.dest: a.default for a in actions},
+        {a.dest for a in actions if a.required},
+        p.get_default("func"),
+    )
 
 
 @functools.cache
 def _parsers() -> tuple:
-    """The charrig parser and its {command: subparser} map, built once
-    per process: parse_args leaves them unchanged."""
+    """The charrig parser, its {command: subparser} map and the
+    {command: table} map of _table, built once per process: parse_args
+    leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="charrig",
         description="Exact type A characters, tensor decompositions, and "
         "rigidity checks for candidate character families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}
 
     p = sub.add_parser("char", help="weight multiplicity table of a character")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 1,1")
-    _add_common(p, fmt=True)
     p.set_defaults(func=cmd_char)
+    tables["char"] = _table(
+        p,
+        p.add_argument("--rank", type=int, required=True),
+        p.add_argument("--weight", required=True, help="fundamental coordinates, e.g. 1,1"),
+        *_add_common(p, fmt=True),
+    )
 
     p = sub.add_parser("tensor", help="tensor product decomposition")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    _add_common(p, fmt=True)
     p.set_defaults(func=cmd_tensor)
+    tables["tensor"] = _table(
+        p,
+        p.add_argument("--rank", type=int, required=True),
+        p.add_argument("--mu", required=True),
+        p.add_argument("--nu", required=True),
+        *_add_common(p, fmt=True),
+    )
 
     p = sub.add_parser(
         "reconstruct", help="rebuild a family from a structure-constant oracle"
     )
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--oracle", choices=("lr", "file"), default="lr")
-    p.add_argument("--table", help="structure-constant table file (for --oracle file)")
-    p.add_argument("--out", help="write the reconstructed family here")
-    _add_common(p)
     p.set_defaults(func=cmd_reconstruct)
+    tables["reconstruct"] = _table(
+        p,
+        p.add_argument("--rank", type=int, required=True),
+        p.add_argument("--bound", type=int, required=True),
+        p.add_argument("--oracle", choices=("lr", "file"), default="lr"),
+        p.add_argument("--table", help="structure-constant table file (for --oracle file)"),
+        p.add_argument("--out", help="write the reconstructed family here"),
+        *_add_common(p),
+    )
 
     p = sub.add_parser("verify", help="run the rigidity checks on a family file")
-    p.add_argument("--family", required=True)
-    p.add_argument("--rank", type=int)
-    _add_common(p)
     p.set_defaults(func=cmd_verify)
+    tables["verify"] = _table(
+        p,
+        p.add_argument("--family", required=True),
+        p.add_argument("--rank", type=int),
+        *_add_common(p),
+    )
 
     p = sub.add_parser("perturb", help="write a perturbed true family")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--site", help="perturbation site LAM:MU, e.g. 1,1:0,0")
-    p.add_argument("--delta", type=int)
-    p.add_argument("--seed", type=int, help="randomized site selection")
-    p.add_argument("--count", type=int, default=1, help="sites to perturb with --seed")
-    p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=cmd_perturb)
+    tables["perturb"] = _table(
+        p,
+        p.add_argument("--rank", type=int, required=True),
+        p.add_argument("--bound", type=int, required=True),
+        p.add_argument("--site", help="perturbation site LAM:MU, e.g. 1,1:0,0"),
+        p.add_argument("--delta", type=int),
+        p.add_argument("--seed", type=int, help="randomized site selection"),
+        p.add_argument("--count", type=int, default=1, help="sites to perturb with --seed"),
+        p.add_argument("--out", required=True),
+        *_add_common(p),
+    )
 
     p = sub.add_parser("table", help="emit the true structure-constant table")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--out")
-    _add_common(p)
     p.set_defaults(func=cmd_table)
+    tables["table"] = _table(
+        p,
+        p.add_argument("--rank", type=int, required=True),
+        p.add_argument("--bound", type=int, required=True),
+        p.add_argument("--out"),
+        *_add_common(p),
+    )
 
-    return parser, sub.choices
+    return parser, sub.choices, tables
 
 
 # each command's options whose value is a weight
@@ -385,19 +428,56 @@ def _join_negative_weights(argv: list, options) -> list:
     return out
 
 
+def _table_parse(table: tuple, argv: list):
+    """The namespace of argv, a command word and then only exact --option
+    value pairs of table's command, each value not starting with - and
+    passing its option's type and choices checks, with every required
+    option given; None for any other argv."""
+    options, defaults, required, func = table
+    if len(argv) % 2 == 0:
+        return None
+    values = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        action = options.get(option)
+        if action is None or text.startswith("-"):
+            return None
+        value = text
+        if action.type is not None:
+            try:
+                value = action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value  # a repeated option: the last one wins
+    if not required <= values.keys():
+        return None
+    args = argparse.Namespace()
+    # one dict update: Namespace(**kwargs) sets each attribute in a loop
+    vars(args).update({"command": argv[0], **defaults, **values, "func": func})
+    return args
+
+
 def parse_args(argv=None):
-    """The namespace _parsers()[0].parse_args(argv) returns, in one
-    argparse pass: the command's own parser reads the arguments after the
-    command word.  The top-level parser runs only where the full parse
-    ends in help or an error (no command, an unknown one, or arguments the
-    command does not take), so it prints and exits as the full parse.  A
-    weight option's value with a negative first coordinate is read as if
-    joined to its option by =, as in --weight=-1,0."""
-    parser, commands = _parsers()
+    """The namespace _parsers()[0].parse_args(argv) returns.  When argv
+    is a command word and then only exact --option value pairs, every
+    value not starting with - and passing its option's type and choices
+    checks, and every required option given, the namespace is built from
+    the command's table (see _table), with no argparse pass.  Any other
+    argv goes to argparse: the command's own parser reads the arguments
+    after the command word, and the top-level parser runs only where the
+    full parse ends in help or an error (no command, an unknown one, or
+    arguments the command does not take), so it prints and exits as the
+    full parse.  A weight option's value with a negative first coordinate
+    is then read as if joined to its option by =, as in --weight=-1,0."""
+    parser, commands, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _table_parse(tables[argv[0]], argv)
+    if args is not None:
+        return args
     if argv[0] in _WEIGHT_OPTIONS:
         argv = [argv[0], *_join_negative_weights(argv[1:], _WEIGHT_OPTIONS[argv[0]])]
     args, extra = command.parse_known_args(argv[1:])
@@ -409,8 +489,8 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     """Run one command on argv (default sys.argv[1:]) and return its exit
-    code.  Arguments go through parse_args: the top-level parser runs
-    only for help and errors."""
+    code.  Arguments go through parse_args: exact --option value pairs
+    are read from a table, and argparse runs for everything else."""
     args = parse_args(argv)
     try:
         if getattr(args, "rank", None) is not None and args.rank < 1 and args.command != "verify":

@@ -1,11 +1,15 @@
+import argparse
 import errno
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import charrig
 from charrig import cli
@@ -538,6 +542,7 @@ def parse_outcome(parse, argv, capsys):
         "char --rank 2",
         "char --rank x --weight 1,1",
         "char --rank 2 --weight 1,1 --format xml",
+        "char --rank 2 --weight 1,1 --format tsv --format xml",
         "char --rank=2 --weight 1,1",
         "char --ra 2 --we 1,1",
         "char --rank 2 --weight 1,1 --bogus",
@@ -550,11 +555,114 @@ def parse_outcome(parse, argv, capsys):
         "char --rank 2 --mu -1,0",
         "char --rank 2 --weight 1,1 -- --weight -1,0",
         "char --rank 2 --weight -x,0",
+        # on either side of the exact --option value pairs read from the
+        # table: a repeated option keeps its last value
+        "char --rank 2 --weight 1,1 --rank 3",
+        "char --rank 2 --weight 1,1 --weight 2,0",
+        "reconstruct --rank 2 --bound 4 --out ''",
+        "reconstruct --rank 2 --bound 4 --out -",
+        "char --rank '' --weight 1,1",
+        # int() reads these on both paths
+        "char --rank ' 2' --weight 1,1",
+        "char --rank +2 --weight 1,1",
+        "char --rank 1_0 --weight 1,1",
+        "char --weight 1,1 --rank",
+        "char --rank 2 --weight 1,1 --cache-dir -c",
+        "char --rank 2 --weight 1,1 --cache-dir -1",
+        "char --rank 2 --weight 1,1 --cache-dir --format",
+        "table --rank -1 --bound 4",
+        "char --rank 2 --weight 1,1 -h",
+        "verify --family f.json --help",
+        # every command with its required options only, then with all
+        "char --rank 2 --weight 1,1",
+        "tensor --rank 2 --mu 1,0 --nu 0,1",
+        "reconstruct --rank 2 --bound 4",
+        "verify --family f.json",
+        "perturb --rank 2 --bound 4 --out f.json",
+        "table --rank 2 --bound 4",
+        "char --format tsv --cache-dir c --weight 1,1 --rank 2",
+        "tensor --rank 2 --mu 1,0 --nu 0,1 --cache-dir c --format json",
+        "reconstruct --rank 2 --bound 4 --oracle file --table t.json --out f.json --cache-dir c",
+        "verify --family f.json --rank 2 --cache-dir c",
+        "perturb --rank 2 --bound 4 --site 1,1:0,0 --delta 1 --seed 3 --count 2 --out f.json"
+        " --cache-dir c",
+        "table --rank 2 --bound 4 --out t.json --cache-dir c",
     ],
 )
 def test_parse_args_matches_full_parse(capsys, argv):
-    argv = argv.split()
+    argv = shlex.split(argv)
     assert parse_outcome(cli.parse_args, argv, capsys) == parse_outcome(parent_parse, argv, capsys)
+
+
+COMMANDS = {
+    # each command's required options, with values that pass their checks
+    "char": ["--rank", "2", "--weight", "1,1"],
+    "tensor": ["--rank", "2", "--mu", "1,0", "--nu", "0,1"],
+    "reconstruct": ["--rank", "2", "--bound", "4"],
+    "verify": ["--family", "f.json"],
+    "perturb": ["--rank", "2", "--bound", "4", "--out", "f.json"],
+    "table": ["--rank", "2", "--bound", "4"],
+}
+OPTIONS = [
+    "--rank", "--weight", "--mu", "--nu", "--cache-dir", "--format", "--bound", "--oracle",
+    "--table", "--out", "--family", "--site", "--delta", "--seed", "--count",
+]  # fmt: skip
+ARG_VALUES = st.sampled_from(
+    ["2", "1,1", "json", "tsv", "lr", "file", "", "-", "--", "-h", "--ra", "--rank=2"]
+)
+ARG_VALUES |= st.text(alphabet="01-+_ ,:=xc", max_size=4)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from(sorted(COMMANDS)),
+    st.booleans(),
+    st.lists(st.tuples(st.sampled_from(OPTIONS), ARG_VALUES), max_size=5),
+    st.lists(st.sampled_from(OPTIONS) | ARG_VALUES, max_size=1),
+)
+def test_parse_args_matches_full_parse_on_generated_argv(capsys, command, required, pairs, tail):
+    argv = [command, *(COMMANDS[command] if required else [])]
+    argv += [x for pair in pairs for x in pair] + tail
+    # a weight option's value that starts with a minus sign and a digit is
+    # read as joined to it by =: test_negative_weight_parses_as_joined_to_its_option
+    assume(
+        not any(
+            a in cli._WEIGHT_OPTIONS.get(command, ()) and b[:1] == "-" and b[1:2].isdigit()
+            for a, b in zip(argv, argv[1:])
+        )
+    )
+    assert parse_outcome(cli.parse_args, argv, capsys) == parse_outcome(parent_parse, argv, capsys)
+
+
+def readme_examples() -> list:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("charrig ")]
+
+
+# one argv of each shape the cli benchmark passes to cli.main
+CLI_BENCHMARK_ARGV = [
+    "char --rank 2 --weight 3,1 --cache-dir work/cache",
+    "char --rank 3 --weight 0,2,1 --format tsv --cache-dir work/cache",
+    "tensor --rank 3 --mu 1,0,1 --nu 0,1,0 --cache-dir work/cache",
+    "reconstruct --rank 2 --bound 12 --oracle file --table work/lr.json --cache-dir work/cache",
+    "perturb --rank 2 --bound 12 --seed 271828 --out work/perturbed.json --cache-dir work/cache",
+    "verify --family work/perturbed.json --cache-dir work/cache",
+]
+
+
+def test_exact_pairs_parse_without_argparse(monkeypatch):
+    argvs = [*readme_examples(), *map(str.split, CLI_BENCHMARK_ARGV)]
+    assert len(argvs) == 14
+    expected = [vars(parent_parse(argv)) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse read an argv of exact --option value pairs")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    assert [vars(cli.parse_args(argv)) for argv in argvs] == expected
 
 
 def reconstructed(tmp_path, capsys):
